@@ -358,3 +358,43 @@ fn more_workers_than_cells_is_harmless() {
     let sequential = SweepSpec { jobs: 1, ..spec }.run().expect("valid spec");
     assert_eq!(report.to_json(), sequential.to_json());
 }
+
+/// On a single rack every balancer dispatches every arrival to rack 0, so a
+/// round-robin run and a least-loaded run are the same simulation: equal
+/// reports and rack summaries under every scaling policy. The scale ticks,
+/// their continuation rule and the arrival/heap tie order all take part.
+#[test]
+fn one_rack_round_robin_and_least_loaded_runs_are_identical() {
+    let profile = RateProfile::paper_bursty().compressed(100.0);
+    let trace = Arc::new(profile.generate(&mut DeterministicRng::seeded(11)));
+    for scaling in [
+        ScalingPolicy::Fixed,
+        ScalingPolicy::reactive_default(),
+        ScalingPolicy::predictive_default(),
+    ] {
+        let run = |balancer| {
+            Experiment::builder(PlatformKind::BaselineCpu)
+                .trace(trace.clone())
+                .racks(1)
+                .balancer(balancer)
+                .scaling(scaling)
+                .seed(13)
+                .build()
+                .expect("valid experiment")
+                .run()
+        };
+        let round_robin = run(LoadBalancer::RoundRobin);
+        let least_loaded = run(LoadBalancer::LeastLoaded);
+        if scaling != ScalingPolicy::Fixed {
+            assert!(round_robin.report.scale_ups > 0, "{}", scaling.name());
+            assert!(round_robin.report.scale_downs > 0, "{}", scaling.name());
+        }
+        assert_eq!(
+            round_robin.report,
+            least_loaded.report,
+            "{}",
+            scaling.name()
+        );
+        assert_eq!(round_robin.racks, least_loaded.racks, "{}", scaling.name());
+    }
+}
