@@ -1,27 +1,19 @@
 //! The typed entry point to cluster runs: [`Experiment`], built by
 //! [`ExperimentBuilder`], executed into an [`Outcome`].
 //!
-//! Four PRs of organic growth left the cluster with a positional-argument API
-//! trio (`run` / `run_sharded` / `run_sharded_with_data`), panic-based
-//! validation and tuple returns. This module replaces that surface with two
-//! types:
+//! Two types make up the surface:
 //!
 //! * [`Experiment`] — a validated, self-describing run specification: the
-//!   platform under test, the request trace (or the [`Workload`] that
-//!   generates it), the rack count, the front-end balancer, the full
+//!   platform under test, the request trace (or the [`WorkloadSpec`] that
+//!   realizes it), the rack count, the front-end balancer, the full
 //!   scheduler/keepalive/scaling configuration, an optional data-placement
 //!   layer and the seed. An `Experiment` can only be obtained through
 //!   [`ExperimentBuilder::build`], which returns `Result<Experiment,
-//!   ConfigError>` — every formerly-panicking precondition is a typed,
-//!   testable [`ConfigError`] variant instead.
+//!   ConfigError>` — every precondition is a typed, testable
+//!   [`ConfigError`] variant.
 //! * [`Outcome`] — the named-field result of one run: the aggregate
 //!   [`ClusterReport`], the per-rack [`RackSummary`] list and the run's
-//!   identifying metadata, replacing the old `(ClusterReport,
-//!   Vec<RackSummary>)` tuple.
-//!
-//! The deprecated `ClusterSim` methods remain as thin shims that route
-//! through the same consolidated validator and panic with their historical
-//! messages, so legacy callers (and golden fixtures) behave bit-identically.
+//!   identifying metadata.
 //!
 //! # Example
 //!
@@ -52,7 +44,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use dscs_platforms::PlatformKind;
-use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
@@ -60,15 +51,11 @@ use crate::data::DataLayer;
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 use crate::trace::TraceRequest;
-use crate::workload::{Workload, WorkloadError, WorkloadSpec, WorkloadSpecError};
+use crate::workload::{WorkloadSpec, WorkloadSpecError};
 
-/// A violated precondition of a cluster run, reported instead of the panic
-/// the pre-builder API raised.
-///
-/// Every variant corresponds to one `assert!` the deprecated
-/// `run_sharded_with_data` / `ScalingPolicy::validate` path used to fire; the
-/// deprecated shims still panic, but they do so by formatting these variants
-/// through their historical messages, so there is exactly one validator.
+/// A violated precondition of a cluster run, reported by
+/// [`ExperimentBuilder::build`] (and by sweep validation) before anything
+/// runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The experiment has no trace (none supplied, or the supplied trace is
@@ -130,54 +117,11 @@ pub enum ConfigError {
         /// The axis name (`"platforms"`, `"schedulers"`, ...).
         axis: &'static str,
     },
-    /// The workload handed to [`ExperimentBuilder::workload`] failed its own
-    /// validation.
-    Workload(WorkloadError),
     /// The declarative spec handed to [`ExperimentBuilder::workload_spec`]
     /// (or listed on a sweep's workload axis) failed to realize — an unknown
     /// kind, an unreadable or malformed trace file, or an invalid underlying
     /// workload.
     WorkloadSpec(WorkloadSpecError),
-}
-
-impl ConfigError {
-    /// The message the pre-builder API's `assert!` raised for this violation.
-    /// The deprecated shims panic with exactly these strings so legacy
-    /// `#[should_panic]` expectations keep matching.
-    pub(crate) fn legacy_message(&self) -> String {
-        match self {
-            ConfigError::EmptyTrace => "trace must not be empty".into(),
-            ConfigError::ZeroRacks => "need at least one rack".into(),
-            ConfigError::DataLayerRackMismatch { .. } => {
-                "data layer must cover exactly the sharded racks".into()
-            }
-            ConfigError::ZeroMinInstances => "elastic racks need at least one instance".into(),
-            ConfigError::MinAboveMax { .. } => "min_instances must not exceed max_instances".into(),
-            ConfigError::ZeroScalingInterval { policy } => {
-                format!("{policy} interval must be non-zero")
-            }
-            ConfigError::ZeroReactiveStep => "reactive step must be at least one instance".into(),
-            ConfigError::OverlappingReactiveThresholds { .. } => {
-                "reactive thresholds must not overlap: a queue depth \
-                 satisfying both would make scale-down unreachable"
-                    .into()
-            }
-            ConfigError::InvalidPredictiveHeadroom { .. } => {
-                "predictive headroom must be finite and >= 1".into()
-            }
-            // No legacy assert existed for this one (the old path accepted
-            // the window and silently re-warmed after eviction); the shims
-            // panic with the typed message.
-            ConfigError::PrewarmHeadAboveTail { head, tail } => {
-                format!("prewarm head percentile {head} must stay below the tail percentile {tail}")
-            }
-            ConfigError::EmptySweepAxis { axis } => {
-                format!("sweep axis {axis} must not be empty")
-            }
-            ConfigError::Workload(err) => err.to_string(),
-            ConfigError::WorkloadSpec(err) => err.to_string(),
-        }
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -219,7 +163,6 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptySweepAxis { axis } => {
                 write!(f, "sweep axis {axis} has no values to sweep")
             }
-            ConfigError::Workload(err) => write!(f, "workload validation failed: {err}"),
             ConfigError::WorkloadSpec(err) => write!(f, "workload spec rejected: {err}"),
         }
     }
@@ -228,16 +171,9 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ConfigError::Workload(err) => Some(err),
             ConfigError::WorkloadSpec(err) => Some(err),
             _ => None,
         }
-    }
-}
-
-impl From<WorkloadError> for ConfigError {
-    fn from(err: WorkloadError) -> Self {
-        ConfigError::Workload(err)
     }
 }
 
@@ -247,10 +183,8 @@ impl From<WorkloadSpecError> for ConfigError {
     }
 }
 
-/// The consolidated run validator: every precondition the deprecated
-/// `run_sharded_with_data` asserted, as typed errors, in the historical
-/// check order. Used by [`ExperimentBuilder::build`] and by the deprecated
-/// shims (which turn the error back into the legacy panic).
+/// The consolidated run validator behind [`ExperimentBuilder::build`]: every
+/// run precondition as a typed error, in the historical check order.
 pub(crate) fn validate_run(
     trace: &[TraceRequest],
     racks: u32,
@@ -351,8 +285,8 @@ impl Experiment {
         self.seed
     }
 
-    /// Worker threads used to simulate rack lanes when the balancer permits
-    /// the partitioned engine (0 = one per core, 1 = inline). Results are
+    /// Worker threads used to simulate rack lanes when the balancer lets
+    /// each rack run on its own (0 = one per core, 1 = inline). Results are
     /// byte-identical across every value — see
     /// [`EngineSelection::RackParallel`].
     pub fn rack_jobs(&self) -> usize {
@@ -433,41 +367,10 @@ impl ExperimentBuilder {
     /// The request trace to replay. Accepts a `Vec<TraceRequest>` or an
     /// `Arc<Vec<TraceRequest>>` (shared, e.g. across sweep cells). Replaces
     /// any earlier trace — including one a failed
-    /// [`ExperimentBuilder::workload`] call left pending.
+    /// [`ExperimentBuilder::workload_spec`] call left pending.
     pub fn trace(mut self, trace: impl Into<Arc<Vec<TraceRequest>>>) -> Self {
         self.trace = Some(trace.into());
         self.pending = None;
-        self
-    }
-
-    /// Generates the trace from `workload` (validating its parameters) with
-    /// `rng`. A [`WorkloadError`] is carried until [`ExperimentBuilder::build`]
-    /// and surfaces there as [`ConfigError::Workload`] — unless a later
-    /// [`ExperimentBuilder::trace`] / workload call supplies a valid trace,
-    /// which replaces the failed one.
-    ///
-    /// Deprecated: workload selection is declarative now. Express the same
-    /// run as a [`WorkloadSpec`] — `WorkloadSpec::Azure { scale, seed }`
-    /// instead of hand-generating an [`AzureWorkload`](crate::workload::AzureWorkload)
-    /// trace, `WorkloadSpec::Inline { .. }` for a bespoke generator — and
-    /// hand it to [`ExperimentBuilder::workload_spec`], which routes through
-    /// the same pending-error validator.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use workload_spec(WorkloadSpec) — workload selection is declarative now"
-    )]
-    pub fn workload<W: Workload + ?Sized>(
-        mut self,
-        workload: &W,
-        rng: &mut DeterministicRng,
-    ) -> Self {
-        match workload.generate(rng) {
-            Ok(trace) => {
-                self.trace = Some(Arc::new(trace));
-                self.pending = None;
-            }
-            Err(err) => self.pending = Some(err.into()),
-        }
         self
     }
 
@@ -475,8 +378,7 @@ impl ExperimentBuilder {
     /// A [`WorkloadSpecError`] is carried until [`ExperimentBuilder::build`]
     /// and surfaces there as [`ConfigError::WorkloadSpec`] — unless a later
     /// [`ExperimentBuilder::trace`] / `workload_spec` call supplies a valid
-    /// trace, which replaces the failed one (the same carry discipline the
-    /// deprecated [`ExperimentBuilder::workload`] shim uses).
+    /// trace, which replaces the failed one.
     pub fn workload_spec(mut self, spec: &WorkloadSpec) -> Self {
         match spec.realize() {
             Ok(realized) => {
@@ -584,11 +486,11 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Worker threads for the partitioned per-rack engine: 0 = one per
-    /// available core, 1 (the default) = run every rack lane inline, N =
-    /// up to N threads (capped at the rack count). Applies only when the
-    /// balancer decouples the racks ([`LoadBalancer::RoundRobin`]); coupled
-    /// balancers run the sequential engine regardless and report why
+    /// Worker threads for per-rack lanes: 0 = one per available core, 1 (the
+    /// default) = run every rack lane inline, N = up to N threads (capped at
+    /// the rack count). Applies only when the balancer decouples the racks
+    /// ([`LoadBalancer::RoundRobin`]); coupled balancers run one loop over
+    /// all racks regardless and report why
     /// ([`EngineSelection::Sequential`]). Results are byte-identical across
     /// every value — the knob trades wall-clock only, so it is *not* part of
     /// the experiment's identity.
@@ -655,9 +557,9 @@ pub struct Outcome {
     pub balancer: LoadBalancer,
     /// The seed the run replayed with.
     pub seed: u64,
-    /// Which engine executed the run: the partitioned per-rack engine (with
-    /// its worker count) or the whole-cluster sequential loop (with the
-    /// reason the run could not be partitioned). Deterministic — a function
+    /// How the run's racks split across event loops: one lane per rack (with
+    /// the worker count) or one loop over all racks (with the reason the run
+    /// could not be partitioned). Deterministic — a function
     /// of the balancer and `rack_jobs`, never of timing.
     pub engine: EngineSelection,
     /// The offline-optimal lower bound on aggregate cold-start seconds for
@@ -672,6 +574,7 @@ pub struct Outcome {
 mod tests {
     use super::*;
     use crate::trace::RateProfile;
+    use dscs_simcore::rng::DeterministicRng;
 
     fn short_trace(seed: u64) -> Vec<TraceRequest> {
         let profile = RateProfile {
@@ -754,53 +657,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn workload_errors_surface_at_build_time() {
-        use crate::workload::AzureWorkload;
-        let bad = AzureWorkload {
-            base_rps: -5.0,
-            ..AzureWorkload::default()
-        };
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .build()
-            .expect_err("invalid workload");
-        assert!(matches!(err, ConfigError::Workload(_)));
-        assert!(err.to_string().contains("workload validation failed"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn a_later_valid_trace_replaces_a_failed_workload() {
-        use crate::workload::AzureWorkload;
-        let bad = AzureWorkload {
-            base_rps: -5.0,
-            ..AzureWorkload::default()
-        };
-        // A failed workload() must not poison the builder once a valid trace
-        // (or a valid workload) is supplied afterwards.
-        let outcome = Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .trace(short_trace(8))
-            .build()
-            .expect("the later trace supersedes the failed workload")
-            .run();
-        assert!(outcome.report.completed > 0);
-        let good = AzureWorkload {
-            functions: 4,
-            base_rps: 40.0,
-            horizon: SimDuration::from_secs(5),
-            step: SimDuration::from_secs(1),
-            ..AzureWorkload::default()
-        };
-        assert!(Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .workload(&good, &mut DeterministicRng::seeded(2))
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn workload_spec_realizes_into_the_experiment_trace() {
         use crate::at_scale::SweepScale;
         let spec = WorkloadSpec::Azure {
@@ -832,8 +688,7 @@ mod tests {
             ConfigError::WorkloadSpec(WorkloadSpecError::Ingest(_))
         ));
         assert!(err.to_string().contains("workload spec rejected"));
-        // The same carry discipline as the deprecated shim: a later valid
-        // trace supersedes the failed spec.
+        // A later valid trace supersedes the failed spec.
         assert!(Experiment::builder(PlatformKind::DscsDsa)
             .workload_spec(&missing)
             .trace(short_trace(9))
@@ -968,7 +823,6 @@ mod tests {
         ];
         for err in errors {
             assert!(!err.to_string().is_empty());
-            assert!(!err.legacy_message().is_empty());
         }
     }
 }

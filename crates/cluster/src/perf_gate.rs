@@ -187,34 +187,27 @@ impl fmt::Display for GateError {
 
 impl std::error::Error for GateError {}
 
-/// The full policy identity of one sweep cell. Pre-v2 reports have no
-/// `scaling` key (those cells ran the fixed cap); pre-v3 reports have no
-/// per-cell `balancer` key (those sweeps ran round-robin); pre-v6 reports
-/// have no `workload_source` key (every cell replayed a synthetic
-/// generator). Workload source is part of the identity so a trace-file cell
-/// is never diffed against a synthetic cell that happens to share its
-/// workload name.
+/// The full policy identity of one sweep cell, or `None` (the cell is
+/// skipped) when any axis key is missing. Workload source is part of the
+/// identity so a trace-file cell is never diffed against a synthetic cell
+/// that happens to share its workload name.
 fn cell_key(cell: &JsonValue) -> Option<String> {
-    let field = |key: &str, default: Option<&str>| {
-        cell.get(key)
-            .and_then(JsonValue::as_str)
-            .or(default)
-            .map(str::to_string)
-    };
-    Some(
-        [
-            field("workload", None)?,
-            field("workload_source", Some("synthetic"))?,
-            field("platform", None)?,
-            field("scheduler", None)?,
-            field("keepalive", None)?,
-            field("scaling", Some("fixed"))?,
-            field("balancer", Some("round-robin"))?,
-            field("cold_path", Some("flash"))?,
-            field("ipc", Some("shm"))?,
-        ]
-        .join("/"),
-    )
+    let keys = [
+        "workload",
+        "workload_source",
+        "platform",
+        "scheduler",
+        "keepalive",
+        "scaling",
+        "balancer",
+        "cold_path",
+        "ipc",
+    ];
+    let fields: Option<Vec<&str>> = keys
+        .iter()
+        .map(|key| cell.get(key).and_then(JsonValue::as_str))
+        .collect();
+    Some(fields?.join("/"))
 }
 
 /// The report's schema tag; reports predating the tag count as `"(untagged)"`.
@@ -394,29 +387,49 @@ pub fn compare_reports(
 mod tests {
     use super::*;
 
-    fn report(cells: &[(&str, f64, f64)]) -> String {
+    /// A full v8 cell: every identity axis at its sweep default unless
+    /// `axes` overrides it, plus the two gated latencies.
+    fn cell(axes: &[(&str, &str)], mean: f64, p99: f64) -> JsonValue {
+        let mut c = JsonValue::object();
+        for (key, default) in [
+            ("workload", "azure"),
+            ("workload_source", "synthetic"),
+            ("platform", "DSCS-DSA"),
+            ("scheduler", "fcfs"),
+            ("keepalive", "fixed-window"),
+            ("scaling", "fixed"),
+            ("balancer", "round-robin"),
+            ("cold_path", "flash"),
+            ("ipc", "shm"),
+        ] {
+            let value = axes
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map_or(default, |&(_, v)| v);
+            c.push(key, value);
+        }
+        c.push("mean_latency_ms", mean);
+        c.push("p99_latency_ms", p99);
+        c
+    }
+
+    /// A rendered report of `cells` tagged with `schema`.
+    fn render(schema: &str, cells: Vec<JsonValue>) -> String {
         let mut root = JsonValue::object();
-        root.push("schema", "dscs-at-scale-v2");
-        root.push(
-            "cells",
-            JsonValue::Array(
-                cells
-                    .iter()
-                    .map(|&(keepalive, mean, p99)| {
-                        let mut c = JsonValue::object();
-                        c.push("workload", "azure");
-                        c.push("platform", "DSCS-DSA");
-                        c.push("scheduler", "fcfs");
-                        c.push("keepalive", keepalive);
-                        c.push("scaling", "fixed");
-                        c.push("mean_latency_ms", mean);
-                        c.push("p99_latency_ms", p99);
-                        c
-                    })
-                    .collect(),
-            ),
-        );
+        root.push("schema", schema);
+        root.push("cells", JsonValue::Array(cells));
         root.render()
+    }
+
+    /// A v8 report with one cell per `(keepalive, mean, p99)`.
+    fn report(cells: &[(&str, f64, f64)]) -> String {
+        render(
+            "dscs-at-scale-v8",
+            cells
+                .iter()
+                .map(|&(keepalive, mean, p99)| cell(&[("keepalive", keepalive)], mean, p99))
+                .collect(),
+        )
     }
 
     #[test]
@@ -459,27 +472,12 @@ mod tests {
     /// fields or flagging spurious regressions against changed physics.
     #[test]
     fn older_schema_baselines_pass_vacuously_with_a_note() {
-        let mut v2_cell = JsonValue::object();
-        v2_cell.push("workload", "azure");
-        v2_cell.push("platform", "DSCS-DSA");
-        v2_cell.push("scheduler", "fcfs");
-        v2_cell.push("keepalive", "fixed-window");
-        v2_cell.push("scaling", "fixed");
-        v2_cell.push("mean_latency_ms", 10.0);
-        v2_cell.push("p99_latency_ms", 20.0);
-        let mut v2 = JsonValue::object();
-        v2.push("schema", "dscs-at-scale-v2");
-        v2.push("cells", JsonValue::Array(vec![v2_cell]));
-
-        let mut v3 = JsonValue::parse(&report(&[("fixed-window", 1000.0, 2000.0)])).expect("json");
-        let JsonValue::Object(pairs) = &mut v3 else {
-            panic!("report is an object")
-        };
-        pairs[0].1 = JsonValue::from("dscs-at-scale-v3");
+        let v2 = render("dscs-at-scale-v2", vec![cell(&[], 10.0, 20.0)]);
+        let v3 = render("dscs-at-scale-v3", vec![cell(&[], 1000.0, 2000.0)]);
 
         // A 100x "regression" against the old schema still passes: the
         // numbers are not comparable across the bump.
-        let outcome = compare_reports(&v2.render(), &v3.render(), 10.0).expect("valid");
+        let outcome = compare_reports(&v2, &v3, 10.0).expect("valid");
         assert!(outcome.passed());
         assert_eq!(outcome.compared, 0);
         assert_eq!(outcome.skipped, 2);
@@ -499,28 +497,17 @@ mod tests {
 
     #[test]
     fn cells_differing_only_by_balancer_are_distinct() {
-        let cell = |balancer: &str, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", balancer);
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
-        };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v3");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![cell("round-robin", 10.0), cell("locality", 5.0)]);
+        let cell = |balancer: &str, mean: f64| cell(&[("balancer", balancer)], mean, mean * 2.0);
+        let base = render(
+            "dscs-at-scale-v8",
+            vec![cell("round-robin", 10.0), cell("locality", 5.0)],
+        );
         // The locality cell regresses, the round-robin cell improves: the
         // gate must not cross-match them.
-        let cur = make(vec![cell("round-robin", 9.0), cell("locality", 8.0)]);
+        let cur = render(
+            "dscs-at-scale-v8",
+            vec![cell("round-robin", 9.0), cell("locality", 8.0)],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 2);
         assert_eq!(outcome.regressions.len(), 2, "locality mean and p99");
@@ -530,128 +517,85 @@ mod tests {
     /// Satellite regression test: the v8 modality axes are part of cell
     /// identity, so a snapshot-restore cell is never diffed against the
     /// flash-reload cell sharing its policy point, and an http-transport
-    /// cell is never diffed against its shm twin. Cells omitting the keys
-    /// (hand-trimmed reports) default to the historical `"flash"`/`"shm"`.
+    /// cell is never diffed against its shm twin. A cell missing an axis key
+    /// has no identity and is skipped.
     #[test]
     fn cells_differing_only_by_cold_path_or_ipc_are_distinct() {
-        let cell = |path: Option<&str>, ipc: Option<&str>, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            if let Some(path) = path {
-                c.push("cold_path", path);
-            }
-            if let Some(ipc) = ipc {
-                c.push("ipc", ipc);
-            }
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
+        let cell = |path: &str, ipc: &str, mean: f64| {
+            cell(&[("cold_path", path), ("ipc", ipc)], mean, mean * 2.0)
         };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v8");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![
-            cell(Some("flash"), Some("shm"), 10.0),
-            cell(Some("snapshot"), Some("shm"), 5.0),
-            cell(Some("flash"), Some("http"), 12.0),
-        ]);
+        let base = render(
+            "dscs-at-scale-v8",
+            vec![
+                cell("flash", "shm", 10.0),
+                cell("snapshot", "shm", 5.0),
+                cell("flash", "http", 12.0),
+            ],
+        );
         // Only the snapshot cell regresses; its flash/http neighbours
         // improve. Cross-matching any of them would hide the regression or
         // flag a spurious one.
-        let cur = make(vec![
-            cell(Some("flash"), Some("shm"), 9.0),
-            cell(Some("snapshot"), Some("shm"), 8.0),
-            cell(Some("flash"), Some("http"), 11.0),
-        ]);
+        let cur = render(
+            "dscs-at-scale-v8",
+            vec![
+                cell("flash", "shm", 9.0),
+                cell("snapshot", "shm", 8.0),
+                cell("flash", "http", 11.0),
+            ],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 3);
         assert_eq!(outcome.regressions.len(), 2, "snapshot mean and p99");
         assert!(outcome.regressions[0].cell.contains("snapshot"));
-        // A cell lacking the keys defaults to "flash"/"shm", so same-version
-        // reports that omit them still match their historical twins.
-        let untagged = make(vec![cell(None, None, 10.0)]);
-        let tagged = make(vec![cell(Some("flash"), Some("shm"), 10.0)]);
-        let defaulted = compare_reports(&untagged, &tagged, 10.0).expect("valid");
-        assert_eq!(defaulted.compared, 1);
-        assert_eq!(defaulted.skipped, 0);
+
+        let mut untagged = cell("flash", "shm", 10.0);
+        let JsonValue::Object(pairs) = &mut untagged else {
+            panic!("a cell is an object")
+        };
+        pairs.retain(|(key, _)| key != "cold_path" && key != "ipc");
+        let trimmed = compare_reports(
+            &render("dscs-at-scale-v8", vec![cell("flash", "shm", 10.0)]),
+            &render("dscs-at-scale-v8", vec![untagged]),
+            10.0,
+        )
+        .expect("valid");
+        assert_eq!(trimmed.compared, 0);
+        assert_eq!(trimmed.skipped, 2, "the trimmed cell and its lone twin");
     }
 
-    /// Engine-throughput drops warn without failing: a >10% `events_per_sec`
-    /// regression (per cell and aggregate) is reported, worst first, but the
-    /// gate still passes; reports without the measured fields warn nothing.
     /// Satellite regression test: the workload's source is part of cell
     /// identity, so a trace-file replay of "azure" traffic is never diffed
     /// against the synthetic "azure" cell (within one schema version; a
     /// cross-version comparison already passes vacuously).
     #[test]
     fn cells_differing_only_by_workload_source_are_distinct() {
-        let cell = |source: Option<&str>, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            if let Some(source) = source {
-                c.push("workload_source", source);
-            }
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
-        };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v6");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![
-            cell(Some("synthetic"), 10.0),
-            cell(Some("trace-file:day1.csv"), 5.0),
-        ]);
+        let cell = |source: &str, mean: f64| cell(&[("workload_source", source)], mean, mean * 2.0);
+        let base = render(
+            "dscs-at-scale-v8",
+            vec![cell("synthetic", 10.0), cell("trace-file:day1.csv", 5.0)],
+        );
         // The trace-file cell regresses, the synthetic cell improves: the
         // gate must not cross-match them on the shared workload name.
-        let cur = make(vec![
-            cell(Some("synthetic"), 9.0),
-            cell(Some("trace-file:day1.csv"), 8.0),
-        ]);
+        let cur = render(
+            "dscs-at-scale-v8",
+            vec![cell("synthetic", 9.0), cell("trace-file:day1.csv", 8.0)],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 2);
         assert_eq!(outcome.regressions.len(), 2, "trace-file mean and p99");
         assert!(outcome.regressions[0].cell.contains("trace-file:day1.csv"));
-        // A cell lacking the key defaults to "synthetic", so same-version
-        // reports that omit it still match their synthetic twins.
-        let untagged = make(vec![cell(None, 10.0)]);
-        let tagged = make(vec![cell(Some("synthetic"), 10.0)]);
-        let matched = compare_reports(&untagged, &tagged, 10.0).expect("valid");
-        assert_eq!(matched.compared, 1);
-        assert_eq!(matched.skipped, 0);
     }
 
+    /// Engine-throughput drops warn without failing: a >10% `events_per_sec`
+    /// regression (per cell and aggregate) is reported, worst first, but the
+    /// gate still passes; reports without the measured fields warn nothing.
     #[test]
     fn throughput_drops_warn_but_never_fail() {
         let make = |aggregate_eps: f64, cell_eps: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", 10.0);
-            c.push("p99_latency_ms", 20.0);
+            let mut c = cell(&[], 10.0, 20.0);
             c.push("events_per_sec", cell_eps);
             let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v5");
+            root.push("schema", "dscs-at-scale-v8");
             root.push("events_per_sec", aggregate_eps);
             root.push("cells", JsonValue::Array(vec![c]));
             root.render()
@@ -685,18 +629,10 @@ mod tests {
     #[test]
     fn zero_throughput_baselines_warn_nothing() {
         let make = |eps: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", 10.0);
-            c.push("p99_latency_ms", 20.0);
+            let mut c = cell(&[], 10.0, 20.0);
             c.push("events_per_sec", eps);
             let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v5");
+            root.push("schema", "dscs-at-scale-v8");
             root.push("events_per_sec", eps);
             root.push("cells", JsonValue::Array(vec![c]));
             root.render()
@@ -720,30 +656,17 @@ mod tests {
     #[test]
     fn regret_increases_warn_but_never_fail() {
         let make = |regrets: &[(&str, f64)]| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v7");
-            root.push(
-                "cells",
-                JsonValue::Array(
-                    regrets
-                        .iter()
-                        .map(|&(keepalive, regret)| {
-                            let mut c = JsonValue::object();
-                            c.push("workload", "azure");
-                            c.push("platform", "DSCS-DSA");
-                            c.push("scheduler", "fcfs");
-                            c.push("keepalive", keepalive);
-                            c.push("scaling", "fixed");
-                            c.push("balancer", "round-robin");
-                            c.push("mean_latency_ms", 10.0);
-                            c.push("p99_latency_ms", 20.0);
-                            c.push("regret_pct", regret);
-                            c
-                        })
-                        .collect(),
-                ),
-            );
-            root.render()
+            render(
+                "dscs-at-scale-v8",
+                regrets
+                    .iter()
+                    .map(|&(keepalive, regret)| {
+                        let mut c = cell(&[("keepalive", keepalive)], 10.0, 20.0);
+                        c.push("regret_pct", regret);
+                        c
+                    })
+                    .collect(),
+            )
         };
         // no-keepalive jumps 0.50 -> 1.00 (+50 points), fixed-window drifts
         // +0.05 points: only the jump warns, and the gate still passes.

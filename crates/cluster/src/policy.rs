@@ -339,21 +339,6 @@ impl ScalingPolicy {
             }
         }
     }
-
-    /// Checks the policy parameters, panicking on the first violation.
-    ///
-    /// # Panics
-    /// Panics with the historical assertion messages on any violation
-    /// [`ScalingPolicy::check`] reports.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScalingPolicy::check, which returns a typed ConfigError"
-    )]
-    pub fn validate(&self) {
-        if let Err(err) = self.check() {
-            panic!("{}", err.legacy_message());
-        }
-    }
 }
 
 /// A policy-driven scheduler queue over request indices into a trace.
@@ -1048,19 +1033,6 @@ mod tests {
             err,
             ConfigError::InvalidPredictiveHeadroom { headroom: 0.5 }
         );
-    }
-
-    /// The deprecated panicking validator still raises the historical
-    /// message, since legacy callers assert on it.
-    #[test]
-    #[should_panic(expected = "predictive headroom must be finite and >= 1")]
-    #[allow(deprecated)]
-    fn deprecated_validate_panics_with_the_legacy_message() {
-        ScalingPolicy::Predictive {
-            interval: SimDuration::from_secs(5),
-            headroom: f64::NAN,
-        }
-        .validate();
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! sweeps.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +43,7 @@ use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;
-use crate::experiment::{validate_run, ConfigError, Experiment};
+use crate::experiment::ConfigError;
 use crate::policy::{
     KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
 };
@@ -105,9 +106,8 @@ impl ClusterConfig {
     /// Checks the configuration, returning the first violation found: an
     /// invalid scaling policy ([`ScalingPolicy::check`]), or — for elastic
     /// policies — `min_instances` of zero (the rack could never start work)
-    /// or above `max_instances`. This is the one validator behind both
-    /// [`crate::experiment::ExperimentBuilder::build`] and the deprecated
-    /// panicking shims.
+    /// or above `max_instances`. This is the one validator behind
+    /// [`crate::experiment::ExperimentBuilder::build`].
     pub fn check(&self) -> Result<(), ConfigError> {
         self.scaling.check()?;
         self.keepalive.check()?;
@@ -136,8 +136,7 @@ pub struct ClusterReport {
     /// Mean per-rack queue depth per bucket — Figure 13b. Each
     /// capacity-affecting event samples its own rack's queue depth, and the
     /// per-rack series merge bucket-wise, so the value reads as "how deep was
-    /// a rack's queue when something happened on it" under every balancer
-    /// and both engines.
+    /// a rack's queue when something happened on it" under every balancer.
     pub queued: Vec<f64>,
     /// Mean wall-clock latency per bucket in milliseconds — Figures 13c/13d.
     pub latency_ms: Vec<f64>,
@@ -308,26 +307,28 @@ pub struct RackSummary {
     pub p99_latency_ms: f64,
 }
 
-/// Which discrete-event engine executed a run.
+/// How a run's racks were split across event loops.
 ///
-/// Under [`LoadBalancer::RoundRobin`] every arrival's rack is a pure function
-/// of its trace index and all simulation state (queues, keepalive ledgers,
-/// autoscaling, RNG streams) is per-rack, so the trace is pre-partitioned and
-/// each rack simulated as an independent lane — optionally across threads —
-/// then merged deterministically in rack order. Coupled balancers
+/// Every run goes through the same event loop, which simulates a contiguous
+/// slice of racks against a strided cursor over the sorted trace. Under
+/// [`LoadBalancer::RoundRobin`] every arrival's rack is a pure function of
+/// its trace index and all simulation state (queues, keepalive ledgers,
+/// autoscaling, RNG streams) is per-rack, so each rack is a lane: a loop of
+/// its own over every `racks`-th arrival, optionally on its own thread, with
+/// the lanes merged deterministically in rack order. Coupled balancers
 /// ([`LoadBalancer::LeastLoaded`], [`LoadBalancer::LocalityAware`]) read
-/// every rack's load at dispatch time, so they keep the whole-cluster
-/// sequential event loop; the selection is explicit and reported here.
+/// every rack's load at dispatch time, so one loop simulates all racks over
+/// every arrival; the selection is explicit and reported here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSelection {
-    /// Per-rack lanes merged in rack order. Lane results are identical
+    /// One loop per rack, merged in rack order. Lane results are identical
     /// regardless of `workers` — threads only change *who* simulates a lane.
     RackParallel {
         /// Worker threads that executed the lanes (capped at the rack count;
         /// 1 means the caller's thread ran every lane inline).
         workers: usize,
     },
-    /// The whole-cluster sequential event loop.
+    /// One loop over all racks.
     Sequential {
         /// Why the run could not be partitioned into independent rack lanes.
         reason: &'static str,
@@ -335,7 +336,7 @@ pub enum EngineSelection {
 }
 
 impl EngineSelection {
-    /// Whether the run used the partitioned per-rack engine.
+    /// Whether the run simulated each rack in a lane of its own.
     pub fn is_rack_parallel(&self) -> bool {
         matches!(self, EngineSelection::RackParallel { .. })
     }
@@ -349,11 +350,12 @@ impl EngineSelection {
     }
 }
 
-/// Heap events of the whole-cluster sequential engine. Arrivals are not heap
-/// events: the trace is sorted by construction, so arrivals stream into the
-/// loop from a cursor and the heap only holds the O(pending) future events.
+/// Heap events of the event loop, each on one rack of the loop's slice
+/// (indexed from the slice's first rack). Arrivals are not heap events: the
+/// trace is sorted by construction, so arrivals stream into the loop from a
+/// cursor and the heap only holds the O(pending) future events.
 #[derive(Debug, Clone, Copy)]
-enum CoupledEvent {
+enum RackEvent {
     Completion {
         rack: usize,
     },
@@ -364,18 +366,6 @@ enum CoupledEvent {
     /// `add` provisioned instances come online on one rack.
     ScaleCommit {
         rack: usize,
-        add: u32,
-    },
-}
-
-/// Heap events of one partitioned rack lane (the rack is implicit).
-#[derive(Debug, Clone, Copy)]
-enum LaneEvent {
-    Completion,
-    /// Periodic autoscaling evaluation.
-    ScaleTick,
-    /// `add` provisioned instances come online.
-    ScaleCommit {
         add: u32,
     },
 }
@@ -432,19 +422,9 @@ impl RackState {
     }
 }
 
-/// One rack lane's output before the cluster-level merge: the rack state plus
-/// the lane's share of the Figure-13 series, its own clock and event counter.
+/// One event loop's output: its racks' states in rack order, its share of
+/// the Figure-13 series, its own clock and event counter.
 struct RackRun {
-    state: RackState,
-    offered: TimeSeries,
-    queued: TimeSeries,
-    latency_series: TimeSeries,
-    last_activity: SimTime,
-    events: u64,
-}
-
-/// A finished run of either engine, before summaries and the final report.
-struct ClusterRun {
     rack_states: Vec<RackState>,
     offered: TimeSeries,
     queued: TimeSeries,
@@ -453,40 +433,29 @@ struct ClusterRun {
     events: u64,
 }
 
-/// Deterministically merges per-rack lanes in rack order: series bucket-wise
-/// via [`TimeSeries::merge`], the cluster clock as the maximum lane clock,
-/// the event counter as the lane sum. Lane order — not execution order —
-/// fixes every floating-point accumulation, so the merge is byte-stable
-/// across worker counts.
-fn merge_lanes(lanes: Vec<RackRun>) -> ClusterRun {
-    let merge = |acc: &mut Option<TimeSeries>, series: TimeSeries| match acc {
-        None => *acc = Some(series),
-        Some(acc) => acc
-            .merge(&series)
-            .expect("rack lanes share bucket width and horizon"),
-    };
-    let mut rack_states = Vec::with_capacity(lanes.len());
-    let mut offered: Option<TimeSeries> = None;
-    let mut queued: Option<TimeSeries> = None;
-    let mut latency_series: Option<TimeSeries> = None;
-    let mut last_activity = SimTime::ZERO;
-    let mut events: u64 = 0;
+/// Deterministically merges loop outputs covering consecutive rack slices,
+/// in rack order: rack states concatenated, series bucket-wise via
+/// [`TimeSeries::merge`], the cluster clock as the maximum loop clock, the
+/// event counter as the sum. Rack order — not execution order — fixes every
+/// floating-point accumulation, so the merge is byte-stable across worker
+/// counts.
+fn merge_lanes(lanes: Vec<RackRun>) -> RackRun {
+    let mut lanes = lanes.into_iter();
+    let mut merged = lanes.next().expect("at least one rack");
     for lane in lanes {
-        merge(&mut offered, lane.offered);
-        merge(&mut queued, lane.queued);
-        merge(&mut latency_series, lane.latency_series);
-        last_activity = last_activity.max(lane.last_activity);
-        events += lane.events;
-        rack_states.push(lane.state);
+        for (acc, series) in [
+            (&mut merged.offered, lane.offered),
+            (&mut merged.queued, lane.queued),
+            (&mut merged.latency_series, lane.latency_series),
+        ] {
+            acc.merge(&series)
+                .expect("rack lanes share bucket width and horizon");
+        }
+        merged.last_activity = merged.last_activity.max(lane.last_activity);
+        merged.events += lane.events;
+        merged.rack_states.extend(lane.rack_states);
     }
-    ClusterRun {
-        rack_states,
-        offered: offered.expect("at least one rack"),
-        queued: queued.expect("at least one rack"),
-        latency_series: latency_series.expect("at least one rack"),
-        last_activity,
-        events,
-    }
+    merged
 }
 
 /// The cluster simulator.
@@ -640,70 +609,9 @@ impl ClusterSim {
         self.flash_cache
     }
 
-    /// Runs the trace over a single rack and reports the Figure 13 series.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run(&self, trace: &[TraceRequest], seed: u64) -> ClusterReport {
-        #[allow(deprecated)]
-        self.run_sharded(trace, seed, 1, LoadBalancer::RoundRobin).0
-    }
-
-    /// Runs the trace sharded over `racks` racks behind `balancer`, with no
-    /// data placement tracked: every rack is assumed to read its inputs
-    /// locally, the paper's original Figure-13 setup.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run_sharded(
-        &self,
-        trace: &[TraceRequest],
-        seed: u64,
-        racks: u32,
-        balancer: LoadBalancer,
-    ) -> (ClusterReport, Vec<RackSummary>) {
-        #[allow(deprecated)]
-        self.run_sharded_with_data(trace, seed, racks, balancer, None)
-    }
-
-    /// Runs the trace sharded over `racks` racks behind `balancer`, returning
-    /// the aggregate report plus per-rack summaries.
-    ///
-    /// Deprecated shim: [`crate::experiment::ExperimentBuilder`] is the
-    /// typed entry point; it reports these preconditions as
-    /// [`ConfigError`]s instead of panicking.
-    ///
-    /// # Panics
-    /// Panics — with the historical assertion messages — if the trace is
-    /// empty, `racks` is zero, the data layer (when present) was built for a
-    /// different rack count, the scaling policy fails
-    /// [`ScalingPolicy::check`], or an elastic configuration has
-    /// `min_instances` of zero (the rack could never start work) or above
-    /// `max_instances`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run_sharded_with_data(
-        &self,
-        trace: &[TraceRequest],
-        seed: u64,
-        racks: u32,
-        balancer: LoadBalancer,
-        data: Option<&DataLayer>,
-    ) -> (ClusterReport, Vec<RackSummary>) {
-        if let Err(err) = validate_run(trace, racks, &self.config, data) {
-            panic!("{}", err.legacy_message());
-        }
-        let (report, summaries, _) = self.run_validated(trace, seed, racks, balancer, data, 1);
-        (report, summaries)
-    }
-
     /// The discrete-event core behind every run. Callers must have validated
-    /// the inputs (see [`validate_run`]); [`Experiment`] instances have by
-    /// construction.
+    /// the inputs (see [`crate::experiment::validate_run`]);
+    /// [`crate::experiment::Experiment`] instances have by construction.
     ///
     /// With a [`DataLayer`] attached, dispatch knows where each request's
     /// object lives: the locality-aware balancer prefers replica racks, and
@@ -716,12 +624,12 @@ impl ClusterSim {
     /// re-evaluated on their policy's interval; scale-ups come online
     /// `provisioning_delay` later.
     ///
-    /// The engine is chosen by the balancer (see [`EngineSelection`]):
-    /// round-robin runs pre-partition the trace into per-rack lanes —
-    /// `rack_jobs` worker threads (0 = all cores, 1 = inline) simulate them —
-    /// while coupled balancers run the whole-cluster sequential loop.
-    /// Lane results are merged in rack order, so the report is byte-identical
-    /// across every `rack_jobs` value.
+    /// Every run goes through [`ClusterSim::run_loop`]; the balancer decides
+    /// how the racks split across loops (see [`EngineSelection`]).
+    /// Round-robin runs give each rack a lane of its own — `rack_jobs` worker
+    /// threads (0 = all cores, 1 = inline) simulate them — while coupled
+    /// balancers run one loop over all racks. Lanes are merged in rack order,
+    /// so the report is byte-identical across every `rack_jobs` value.
     pub(crate) fn run_validated(
         &self,
         trace: &[TraceRequest],
@@ -731,8 +639,6 @@ impl ClusterSim {
         data: Option<&DataLayer>,
         rack_jobs: usize,
     ) -> (ClusterReport, Vec<RackSummary>, EngineSelection) {
-        let horizon =
-            trace.last().expect("non-empty").arrival - SimTime::ZERO + SimDuration::from_secs(120);
         let wall_clock = std::time::Instant::now();
         // Forking consumes the master stream, so take every rack's RNG here,
         // in rack order — lane execution order can then never change which
@@ -740,28 +646,21 @@ impl ClusterSim {
         let mut master = DeterministicRng::seeded(seed);
         let rack_rngs: Vec<DeterministicRng> =
             (0..racks).map(|r| master.fork(u64::from(r))).collect();
-        let (run, engine) = match balancer {
-            LoadBalancer::RoundRobin => {
-                let (lanes, workers) = self.run_lanes(trace, rack_rngs, horizon, data, rack_jobs);
-                (
-                    merge_lanes(lanes),
-                    EngineSelection::RackParallel { workers },
-                )
-            }
-            LoadBalancer::LeastLoaded => (
-                self.run_coupled(trace, rack_rngs, balancer, horizon, data),
-                EngineSelection::Sequential {
-                    reason: "least-loaded dispatch reads every rack's load",
-                },
-            ),
-            LoadBalancer::LocalityAware { .. } => (
-                self.run_coupled(trace, rack_rngs, balancer, horizon, data),
-                EngineSelection::Sequential {
-                    reason: "locality spill decisions read every rack's load",
-                },
-            ),
+        let coupled = |reason| {
+            let all = self.run_loop(trace, 0..rack_rngs.len(), 1, &rack_rngs, balancer, data);
+            (vec![all], EngineSelection::Sequential { reason })
         };
-        let (report, summaries) = self.finalize(run, wall_clock);
+        let (runs, engine) = match balancer {
+            LoadBalancer::RoundRobin => {
+                let (lanes, workers) = self.run_lanes(trace, &rack_rngs, data, rack_jobs);
+                (lanes, EngineSelection::RackParallel { workers })
+            }
+            LoadBalancer::LeastLoaded => coupled("least-loaded dispatch reads every rack's load"),
+            LoadBalancer::LocalityAware { .. } => {
+                coupled("locality spill decisions read every rack's load")
+            }
+        };
+        let (report, summaries) = self.finalize(merge_lanes(runs), wall_clock);
         (report, summaries, engine)
     }
 
@@ -806,7 +705,7 @@ impl ClusterSim {
     }
 
     /// Admits one arrival to `rack`'s scheduler queue, rejecting it when the
-    /// queue is full. Shared by both engines.
+    /// queue is full.
     fn admit(&self, rack: &mut RackState, idx: usize, request: &TraceRequest, now: SimTime) {
         if matches!(self.config.scaling, ScalingPolicy::Predictive { .. }) {
             // Predictive scaling estimates demand from offered load, not the
@@ -828,7 +727,7 @@ impl ClusterSim {
     /// Greedily starts queued requests on `rack`'s free instances, in the
     /// order the scheduler policy dictates, charging cold starts and remote
     /// fetches onto each started invocation. `schedule_completion` receives
-    /// the service time of every started request. Shared by both engines.
+    /// the service time of every started request.
     #[allow(clippy::too_many_arguments)]
     fn start_queued(
         &self,
@@ -916,204 +815,39 @@ impl ClusterSim {
         }
     }
 
-    /// Simulates one rack's lane of a round-robin run: the stride
-    /// `rack_idx, rack_idx + racks, …` of the trace, streamed from a cursor
-    /// (the trace is sorted by construction) against a heap holding only the
-    /// O(pending) future completions and scaling events. Arrivals win ties
-    /// against heap events, preserving the historical event order.
-    fn run_rack(
+    /// The event loop behind every run. It simulates the contiguous slice
+    /// `racks` of the cluster, each rack drawing on its stream of `rngs`,
+    /// against the arrivals `racks.start, racks.start + stride, …` of the
+    /// trace. A round-robin lane is one rack `r` with stride `rngs.len()`;
+    /// a coupled run is every rack with stride 1. Arrivals stream from the
+    /// cursor (the trace is sorted by construction) against a heap holding
+    /// only the O(pending) future completions and scaling events, and win
+    /// ties against heap events, preserving the historical event order.
+    fn run_loop(
         &self,
         trace: &[TraceRequest],
-        rack_idx: usize,
-        racks: usize,
-        rng: DeterministicRng,
-        horizon: SimDuration,
+        racks: Range<usize>,
+        stride: usize,
+        rngs: &[DeterministicRng],
+        balancer: LoadBalancer,
         data: Option<&DataLayer>,
     ) -> RackRun {
+        let horizon =
+            trace.last().expect("non-empty").arrival - SimTime::ZERO + SimDuration::from_secs(120);
         let mut offered = TimeSeries::new(self.config.bucket, horizon);
         let mut queued = TimeSeries::new(self.config.bucket, horizon);
         let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut state = self.new_rack_state(rng);
-        let mut heap: EventQueue<LaneEvent> = EventQueue::new();
-        if let Some(interval) = self.config.scaling.interval() {
-            heap.schedule(SimTime::ZERO + interval, LaneEvent::ScaleTick);
-        }
-        let mut next_arrival = rack_idx;
-        let mut arrivals_remaining = if rack_idx < trace.len() {
-            (trace.len() - rack_idx).div_ceil(racks)
-        } else {
-            0
-        };
-        let mut last_activity = SimTime::ZERO;
-        let mut events: u64 = 0;
-        loop {
-            let take_arrival = match (
-                trace.get(next_arrival).map(|request| request.arrival),
-                heap.peek_time(),
-            ) {
-                (Some(arrival), Some(heap_at)) => arrival <= heap_at,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            events += 1;
-            if take_arrival {
-                let idx = next_arrival;
-                next_arrival += racks;
-                arrivals_remaining -= 1;
-                let request = &trace[idx];
-                let now = request.arrival;
-                last_activity = now;
-                offered.record_event(now);
-                self.admit(&mut state, idx, request, now);
-                self.start_queued(
-                    &mut state,
-                    rack_idx as u32,
-                    now,
-                    trace,
-                    data,
-                    &mut latency_series,
-                    |service| heap.schedule(now + service, LaneEvent::Completion),
-                );
-                queued.record(now, state.queue.len() as f64);
-                continue;
-            }
-            let event = heap.pop().expect("a peeked event pops");
-            let now = event.at;
-            let runnable = match event.payload {
-                LaneEvent::Completion => {
-                    state.busy -= 1;
-                    last_activity = now;
-                    true
-                }
-                LaneEvent::ScaleTick => {
-                    let interval = self
-                        .config
-                        .scaling
-                        .interval()
-                        .expect("ticks only run for elastic policies");
-                    self.scale_decision(&mut state, now, |add| {
-                        heap.schedule(
-                            now + self.config.provisioning_delay,
-                            LaneEvent::ScaleCommit { add },
-                        );
-                    });
-                    if arrivals_remaining > 0 || state.busy > 0 || !state.queue.is_empty() {
-                        heap.schedule(now + interval, LaneEvent::ScaleTick);
-                    }
-                    false
-                }
-                LaneEvent::ScaleCommit { add } => {
-                    state.pending -= add;
-                    state.capacity += add;
-                    state.peak_instances = state.peak_instances.max(state.capacity);
-                    state.scaling_lag += self.config.provisioning_delay;
-                    true
-                }
-            };
-            if runnable {
-                self.start_queued(
-                    &mut state,
-                    rack_idx as u32,
-                    now,
-                    trace,
-                    data,
-                    &mut latency_series,
-                    |service| heap.schedule(now + service, LaneEvent::Completion),
-                );
-                queued.record(now, state.queue.len() as f64);
-            }
-        }
-        RackRun {
-            state,
-            offered,
-            queued,
-            latency_series,
-            last_activity,
-            events,
-        }
-    }
-
-    /// Runs every rack lane of a round-robin run, on `rack_jobs` worker
-    /// threads (0 = one per available core, 1 = inline on the caller's
-    /// thread; always capped at the rack count). Returns the lanes in rack
-    /// order plus the worker count actually used.
-    fn run_lanes(
-        &self,
-        trace: &[TraceRequest],
-        rack_rngs: Vec<DeterministicRng>,
-        horizon: SimDuration,
-        data: Option<&DataLayer>,
-        rack_jobs: usize,
-    ) -> (Vec<RackRun>, usize) {
-        let racks = rack_rngs.len();
-        let workers = match rack_jobs {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .min(racks)
-        .max(1);
-        if workers == 1 {
-            let lanes = rack_rngs
-                .into_iter()
-                .enumerate()
-                .map(|(r, rng)| self.run_rack(trace, r, racks, rng, horizon, data))
-                .collect();
-            return (lanes, 1);
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::OnceLock<RackRun>> =
-            (0..racks).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if r >= racks {
-                        break;
-                    }
-                    let lane = self.run_rack(trace, r, racks, rack_rngs[r].clone(), horizon, data);
-                    let filled = slots[r].set(lane).is_ok();
-                    debug_assert!(filled, "rack {r} claimed twice");
-                });
-            }
-        });
-        let lanes = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("the worker pool simulated every rack")
-            })
+        let mut rack_states: Vec<RackState> = rngs[racks.clone()]
+            .iter()
+            .map(|rng| self.new_rack_state(rng.clone()))
             .collect();
-        (lanes, workers)
-    }
-
-    /// The whole-cluster sequential event loop, used when the balancer reads
-    /// cross-rack state at dispatch time. Arrivals stream from a cursor over
-    /// the (sorted) trace — the heap only holds the O(pending) future events —
-    /// and win ties against heap events, preserving the historical order of
-    /// the preloaded-arrival engine.
-    fn run_coupled(
-        &self,
-        trace: &[TraceRequest],
-        rack_rngs: Vec<DeterministicRng>,
-        balancer: LoadBalancer,
-        horizon: SimDuration,
-        data: Option<&DataLayer>,
-    ) -> ClusterRun {
-        let mut offered = TimeSeries::new(self.config.bucket, horizon);
-        let mut queued_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut rack_states: Vec<RackState> = rack_rngs
-            .into_iter()
-            .map(|rng| self.new_rack_state(rng))
-            .collect();
-        let mut heap: EventQueue<CoupledEvent> = EventQueue::new();
+        let mut heap: EventQueue<RackEvent> = EventQueue::new();
         if let Some(interval) = self.config.scaling.interval() {
             for rack in 0..rack_states.len() {
-                heap.schedule(SimTime::ZERO + interval, CoupledEvent::ScaleTick { rack });
+                heap.schedule(SimTime::ZERO + interval, RackEvent::ScaleTick { rack });
             }
         }
-        let mut next_arrival: usize = 0;
+        let mut next_arrival = racks.start;
         let mut last_activity = SimTime::ZERO;
         let mut events: u64 = 0;
         loop {
@@ -1130,67 +864,34 @@ impl ClusterSim {
             // Events that can free or add capacity (or enqueue work) run the
             // start loop on their rack afterwards; scale ticks only take
             // decisions.
-            let (rack_idx, now) = if take_arrival {
+            let (rack, now) = if take_arrival {
                 let idx = next_arrival;
-                next_arrival += 1;
+                next_arrival += stride;
                 let request = &trace[idx];
                 let now = request.arrival;
                 last_activity = now;
                 offered.record_event(now);
-                let least_loaded = |racks: &[RackState]| {
-                    racks
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, rack)| (rack.load(), *i))
-                        .map(|(i, _)| i)
-                        .expect("at least one rack")
-                };
-                let r = match balancer {
-                    LoadBalancer::RoundRobin => {
-                        unreachable!("round-robin runs on the partitioned engine")
-                    }
-                    LoadBalancer::LeastLoaded => least_loaded(&rack_states),
-                    LoadBalancer::LocalityAware { spill_threshold } => {
-                        // Prefer the least-loaded rack holding a replica
-                        // of the request's object; once its queue exceeds
-                        // the spill threshold — or is full, which would
-                        // reject the request outright — the fetch is
-                        // cheaper than the wait, so fall back to
-                        // least-loaded. Without a data layer there is no
-                        // placement to honour.
-                        let local = data.and_then(|d| {
-                            d.replica_racks(request.function, request.object)
-                                .iter()
-                                .map(|&r| r as usize)
-                                .filter(|&r| r < rack_states.len())
-                                .min_by_key(|&r| (rack_states[r].load(), r))
-                        });
-                        let saturated =
-                            spill_threshold.min(self.config.queue_depth.saturating_sub(1));
-                        match local {
-                            Some(r) if rack_states[r].queue.len() <= saturated => r,
-                            _ => least_loaded(&rack_states),
-                        }
-                    }
-                };
+                let r = self.dispatch(&rack_states, balancer, request, data);
                 self.admit(&mut rack_states[r], idx, request, now);
                 (Some(r), now)
             } else {
                 let event = heap.pop().expect("a peeked event pops");
                 let now = event.at;
                 match event.payload {
-                    CoupledEvent::Completion { rack } => {
+                    RackEvent::Completion { rack } => {
                         rack_states[rack].busy -= 1;
                         last_activity = now;
                         (Some(rack), now)
                     }
-                    CoupledEvent::ScaleTick { rack } => {
+                    RackEvent::ScaleTick { rack } => {
                         self.scale_decision(&mut rack_states[rack], now, |add| {
                             heap.schedule(
                                 now + self.config.provisioning_delay,
-                                CoupledEvent::ScaleCommit { rack, add },
+                                RackEvent::ScaleCommit { rack, add },
                             );
                         });
+                        // A rack keeps ticking while this loop has arrivals
+                        // left or the rack still has work.
                         let r = &rack_states[rack];
                         if next_arrival < trace.len() || r.busy > 0 || !r.queue.is_empty() {
                             let interval = self
@@ -1198,11 +899,11 @@ impl ClusterSim {
                                 .scaling
                                 .interval()
                                 .expect("ticks only run for elastic policies");
-                            heap.schedule(now + interval, CoupledEvent::ScaleTick { rack });
+                            heap.schedule(now + interval, RackEvent::ScaleTick { rack });
                         }
                         (None, now)
                     }
-                    CoupledEvent::ScaleCommit { rack, add } => {
+                    RackEvent::ScaleCommit { rack, add } => {
                         let r = &mut rack_states[rack];
                         r.pending -= add;
                         r.capacity += add;
@@ -1212,37 +913,141 @@ impl ClusterSim {
                     }
                 }
             };
-            let Some(r) = rack_idx else { continue };
+            let Some(r) = rack else { continue };
             self.start_queued(
                 &mut rack_states[r],
-                r as u32,
+                (racks.start + r) as u32,
                 now,
                 trace,
                 data,
                 &mut latency_series,
-                |service| heap.schedule(now + service, CoupledEvent::Completion { rack: r }),
+                |service| heap.schedule(now + service, RackEvent::Completion { rack: r }),
             );
-            queued_series.record(now, rack_states[r].queue.len() as f64);
+            queued.record(now, rack_states[r].queue.len() as f64);
         }
-        ClusterRun {
+        RackRun {
             rack_states,
             offered,
-            queued: queued_series,
+            queued,
             latency_series,
             last_activity,
             events,
         }
     }
 
-    /// Merges a finished run — either engine — into the aggregate report and
-    /// per-rack summaries, closing the warm-memory ledgers against the
-    /// cluster-wide last activity first.
+    /// The rack of a loop's slice `states` that `balancer` sends `request`
+    /// to.
+    fn dispatch(
+        &self,
+        states: &[RackState],
+        balancer: LoadBalancer,
+        request: &TraceRequest,
+        data: Option<&DataLayer>,
+    ) -> usize {
+        let least_loaded = || {
+            states
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, rack)| (rack.load(), *i))
+                .map(|(i, _)| i)
+                .expect("at least one rack")
+        };
+        match balancer {
+            // Round-robin sends trace index `i` to rack `i % racks`, so a
+            // round-robin loop is a lane owning exactly the rack its stride
+            // visits.
+            LoadBalancer::RoundRobin => 0,
+            // Coupled balancers run one loop over every rack, so slice
+            // indices are cluster rack indices.
+            LoadBalancer::LeastLoaded => least_loaded(),
+            LoadBalancer::LocalityAware { spill_threshold } => {
+                // Prefer the least-loaded rack holding a replica of the
+                // request's object; once its queue exceeds the spill
+                // threshold — or is full, which would reject the request
+                // outright — the fetch is cheaper than the wait, so fall
+                // back to least-loaded. Without a data layer there is no
+                // placement to honour.
+                let local = data.and_then(|d| {
+                    d.replica_racks(request.function, request.object)
+                        .iter()
+                        .map(|&r| r as usize)
+                        .filter(|&r| r < states.len())
+                        .min_by_key(|&r| (states[r].load(), r))
+                });
+                let saturated = spill_threshold.min(self.config.queue_depth.saturating_sub(1));
+                match local {
+                    Some(r) if states[r].queue.len() <= saturated => r,
+                    _ => least_loaded(),
+                }
+            }
+        }
+    }
+
+    /// Runs every rack lane of a round-robin run, on `rack_jobs` worker
+    /// threads (0 = one per available core, 1 = inline on the caller's
+    /// thread; always capped at the rack count). Returns the lanes in rack
+    /// order plus the worker count actually used.
+    fn run_lanes(
+        &self,
+        trace: &[TraceRequest],
+        rack_rngs: &[DeterministicRng],
+        data: Option<&DataLayer>,
+        rack_jobs: usize,
+    ) -> (Vec<RackRun>, usize) {
+        let racks = rack_rngs.len();
+        let lane = |r: usize| {
+            self.run_loop(
+                trace,
+                r..r + 1,
+                racks,
+                rack_rngs,
+                LoadBalancer::RoundRobin,
+                data,
+            )
+        };
+        let workers = match rack_jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .min(racks)
+        .max(1);
+        if workers == 1 {
+            return ((0..racks).map(lane).collect(), 1);
+        }
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let slots: Vec<std::sync::OnceLock<RackRun>> =
+            (0..racks).map(|_| std::sync::OnceLock::new()).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if r >= racks {
+                        break;
+                    }
+                    let filled = slots[r].set(lane(r)).is_ok();
+                    debug_assert!(filled, "rack {r} claimed twice");
+                });
+            }
+        });
+        let lanes = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("the worker pool simulated every rack")
+            })
+            .collect();
+        (lanes, workers)
+    }
+
+    /// Turns a merged run into the aggregate report and per-rack summaries,
+    /// closing the warm-memory ledgers against the cluster-wide last activity
+    /// first.
     fn finalize(
         &self,
-        run: ClusterRun,
+        run: RackRun,
         wall_clock: std::time::Instant,
     ) -> (ClusterReport, Vec<RackSummary>) {
-        let ClusterRun {
+        let RackRun {
             mut rack_states,
             offered,
             queued: queued_series,
@@ -1354,8 +1159,8 @@ impl ClusterSim {
     /// One autoscaling evaluation on `rack`: reactive policies watch the
     /// queue depth, predictive policies size the pool to the learned
     /// arrival-rate estimate. Scale-ups enter the provisioning pipeline —
-    /// `schedule_commit(add)` schedules the commit `provisioning_delay` out,
-    /// in whichever engine's heap the caller owns; scale-downs release
+    /// `schedule_commit(add)` schedules the commit `provisioning_delay` out
+    /// on the caller's heap; scale-downs release
     /// immediately (running requests finish, the freed instances just stop
     /// accepting new work).
     fn scale_decision(
@@ -1424,29 +1229,10 @@ impl ClusterSim {
     }
 }
 
-/// Convenience runner: simulates one platform over a trace with default
-/// cluster configuration (single rack, FCFS, fixed 10-minute keepalive).
-#[deprecated(
-    since = "0.2.0",
-    note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-)]
-pub fn simulate_platform(
-    platform: PlatformKind,
-    trace: &[TraceRequest],
-    seed: u64,
-) -> ClusterReport {
-    Experiment::builder(platform)
-        .trace(trace.to_vec())
-        .seed(seed)
-        .build()
-        .unwrap_or_else(|err| panic!("{}", err.legacy_message()))
-        .run()
-        .report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use crate::trace::RateProfile;
     use dscs_simcore::time::SimDuration;
 
@@ -1858,22 +1644,6 @@ mod tests {
         assert!(fixed.warm_seconds > 0.0);
         assert!(fixed.wasted_warm_seconds > 0.0, "final windows are wasted");
         assert!(fixed.wasted_warm_seconds <= fixed.warm_seconds);
-    }
-
-    /// The deprecated shim keeps the historical panic (the builder reports
-    /// the same violation as [`ConfigError::ZeroMinInstances`]).
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    #[allow(deprecated)]
-    fn zero_min_instance_elastic_rack_is_rejected() {
-        let config = ClusterConfig {
-            scaling: ScalingPolicy::reactive_default(),
-            min_instances: 0,
-            ..ClusterConfig::default()
-        };
-        let trace = short_trace(10.0, 5, 33);
-        let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-        let _ = sim.run(&trace, 34);
     }
 
     /// A replica rack whose queue is *full* counts as saturated even when

@@ -1,19 +1,13 @@
-//! Satellite suite for the experiment-builder API redesign: every input
-//! that used to panic inside `run_sharded_with_data` /
-//! `ScalingPolicy::validate` now yields the matching typed [`ConfigError`]
-//! from `ExperimentBuilder::build`, and the deprecated shims still panic
-//! with their historical messages (so legacy callers see no behaviour
-//! change). The workload-spec redesign extends the matrix: rejected
-//! [`WorkloadSpec`]s fold into `ConfigError::WorkloadSpec` with their typed
-//! source preserved, and the deprecated `workload(&W, rng)` shim stays
-//! bit-identical to `workload_spec`.
+//! The builder error matrix: every invalid run specification yields the
+//! matching typed [`ConfigError`] from `ExperimentBuilder::build`, in the
+//! historical check order, and rejected [`WorkloadSpec`]s fold into
+//! `ConfigError::WorkloadSpec` with their typed source preserved.
 //!
 //! [`WorkloadSpec`]: dscs_serverless::cluster::workload::WorkloadSpec
 
 use dscs_serverless::cluster::data::DataLayer;
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
-use dscs_serverless::cluster::policy::{LoadBalancer, ScalingPolicy};
-use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
+use dscs_serverless::cluster::policy::ScalingPolicy;
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
@@ -26,9 +20,8 @@ fn short_trace(seed: u64) -> Vec<TraceRequest> {
     profile.generate(&mut DeterministicRng::seeded(seed))
 }
 
-/// Every formerly-panicking input class maps to its own `ConfigError`
-/// variant, and the builder reports the *first* violation in the historical
-/// check order.
+/// Every invalid input class maps to its own `ConfigError` variant, and
+/// the builder reports the *first* violation in the historical check order.
 #[test]
 fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     // 1. Empty trace (and the no-trace-at-all case).
@@ -95,9 +88,8 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     );
 }
 
-/// The scaling-parameter violations the old `ScalingPolicy::validate`
-/// asserted also surface as typed errors, both from `check()` and through
-/// the builder.
+/// The scaling-parameter violations surface as typed errors, both from
+/// `check()` and through the builder.
 #[test]
 fn scaling_parameter_violations_are_typed_errors() {
     let zero_reactive = ScalingPolicy::Reactive {
@@ -164,24 +156,33 @@ fn scaling_parameter_violations_are_typed_errors() {
 }
 
 /// `ConfigError` is a real `std::error::Error`: displayable, and the
-/// workload variant exposes its source. (The `workload` shim is deprecated
-/// in favour of `workload_spec`, but its error path stays covered.)
+/// workload-spec variant exposes its source.
 #[test]
-#[allow(deprecated)]
 fn config_errors_display_and_expose_sources() {
-    use dscs_serverless::cluster::workload::AzureWorkload;
+    use dscs_serverless::cluster::ingest::IngestError;
+    use dscs_serverless::cluster::workload::{WorkloadSpec, WorkloadSpecError};
     use std::error::Error;
 
-    let bad = AzureWorkload {
-        base_rps: f64::NAN,
-        ..AzureWorkload::default()
+    let missing = WorkloadSpec::TraceFile {
+        path: "/nonexistent/trace.csv".into(),
+        day: 1,
     };
     let err = Experiment::builder(PlatformKind::DscsDsa)
-        .workload(&bad, &mut DeterministicRng::seeded(1))
+        .workload_spec(&missing)
         .build()
-        .expect_err("invalid workload");
-    assert!(matches!(err, ConfigError::Workload(_)));
-    assert!(err.source().is_some(), "workload errors carry their source");
+        .expect_err("missing trace file");
+    assert!(matches!(
+        err,
+        ConfigError::WorkloadSpec(WorkloadSpecError::Ingest(_))
+    ));
+    let source = err.source().expect("spec errors carry their source");
+    assert!(source.downcast_ref::<WorkloadSpecError>().is_some());
+    assert!(matches!(
+        source
+            .source()
+            .and_then(|e| e.downcast_ref::<IngestError>()),
+        Some(IngestError::Io { .. })
+    ));
     assert!(!err.to_string().is_empty());
     assert!(
         ConfigError::ZeroRacks.source().is_none(),
@@ -245,120 +246,4 @@ fn rejected_workload_specs_fold_into_config_errors() {
             .expect_err("empty inline trace"),
         ConfigError::WorkloadSpec(WorkloadSpecError::EmptyInline)
     );
-}
-
-/// Pinned shim equivalence (the PR-5 pattern): the deprecated
-/// `workload(&W, rng)` entry point fed the sweep's azure generation stream
-/// builds a bit-identical experiment to the declarative
-/// `workload_spec(WorkloadSpec::Azure { .. })`.
-#[test]
-#[allow(deprecated)]
-fn deprecated_workload_shim_and_workload_spec_agree() {
-    use dscs_serverless::cluster::at_scale::SweepScale;
-    use dscs_serverless::cluster::workload::{azure_generation_rng, WorkloadSpec};
-
-    let seed = 29;
-    let via_shim = Experiment::builder(PlatformKind::DscsDsa)
-        .workload(
-            &WorkloadSpec::azure_at(SweepScale::Smoke),
-            &mut azure_generation_rng(seed),
-        )
-        .build()
-        .expect("the smoke azure workload is valid");
-    let via_spec = Experiment::builder(PlatformKind::DscsDsa)
-        .workload_spec(&WorkloadSpec::Azure {
-            scale: SweepScale::Smoke,
-            seed,
-        })
-        .build()
-        .expect("the declarative spec realizes");
-    assert_eq!(via_shim.trace(), via_spec.trace(), "bit-identical traces");
-}
-
-// --- Deprecated-shim behaviour: the old messages, verbatim. -----------------
-
-#[test]
-#[should_panic(expected = "trace must not be empty")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_an_empty_trace() {
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded(&[], 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "need at least one rack")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_zero_racks() {
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded(&short_trace(6), 1, 0, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "data layer must cover exactly the sharded racks")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_with_data_still_panics_on_a_rack_mismatch() {
-    let trace = short_trace(7);
-    let data = DataLayer::for_trace(&trace, 3, 1);
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded_with_data(&trace, 1, 2, LoadBalancer::RoundRobin, Some(&data));
-}
-
-#[test]
-#[should_panic(expected = "elastic racks need at least one instance")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_a_zero_min_elastic_pool() {
-    let config = ClusterConfig {
-        scaling: ScalingPolicy::reactive_default(),
-        min_instances: 0,
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-    let _ = sim.run_sharded(&short_trace(8), 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "min_instances must not exceed max_instances")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_when_min_exceeds_max() {
-    let config = ClusterConfig {
-        scaling: ScalingPolicy::predictive_default(),
-        min_instances: 300,
-        max_instances: 200,
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-    let _ = sim.run_sharded(&short_trace(9), 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "reactive interval must be non-zero")]
-#[allow(deprecated)]
-fn deprecated_scaling_validate_still_panics_with_the_old_message() {
-    ScalingPolicy::Reactive {
-        scale_up_queue: 8,
-        scale_down_queue: 2,
-        step: 4,
-        interval: SimDuration::ZERO,
-    }
-    .validate();
-}
-
-/// A valid configuration behaves identically through the deprecated shim and
-/// the builder — the shim really is a thin delegation.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shim_and_builder_agree_on_valid_runs() {
-    let trace = short_trace(10);
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let (report, racks) = sim.run_sharded(&trace, 5, 2, LoadBalancer::LeastLoaded);
-    let outcome = Experiment::builder(PlatformKind::DscsDsa)
-        .trace(trace)
-        .racks(2)
-        .balancer(LoadBalancer::LeastLoaded)
-        .seed(5)
-        .build()
-        .expect("valid experiment")
-        .run();
-    assert_eq!(report, outcome.report, "bit-identical aggregate reports");
-    assert_eq!(racks, outcome.racks, "bit-identical per-rack summaries");
 }
