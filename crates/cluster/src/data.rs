@@ -1,13 +1,16 @@
 //! The cluster's data-placement layer: couples
-//! [`dscs_storage::object_store::ObjectStore`] into dispatch.
+//! [`dscs_storage::object_store::ObjectStore`]'s placement rule into
+//! dispatch.
 //!
 //! The paper's core claim is that pushing compute into the storage drives
 //! wins because the data does not move — so the cluster simulation has to
-//! know where each request's data *is*. [`DataLayer`] pre-populates a
-//! rack-aware object store with every object a trace touches (each rack owns
-//! a pod of storage nodes; replicas stay in their home rack, the data-gravity
-//! layout the in-storage execution model assumes), then answers the two
-//! questions the simulator asks on the hot path:
+//! know where each request's data *is*. [`DataLayer`] places every object a
+//! trace touches with the rack-aware store's own rule
+//! ([`ObjectStore::place`]: each rack owns a pod of storage nodes; replicas
+//! stay in their home rack, the data-gravity layout the in-storage execution
+//! model assumes), but keeps only what dispatch needs — one home rack per
+//! object, with no pre-populated store of per-object metadata. It then
+//! answers the two questions the simulator asks on the hot path:
 //!
 //! * which racks hold a replica of this request's object (the locality-aware
 //!   balancer's dispatch input), and
@@ -18,15 +21,15 @@
 //! Placement is deterministic: the same trace, rack count and seed reproduce
 //! the same layout, so sharded runs stay byte-for-byte reproducible.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
+use dscs_simcore::fasthash::FastMap;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 use dscs_storage::object_store::{ObjectStore, RemoteFetchModel};
 
 use crate::trace::TraceRequest;
-use crate::workload::ObjectCatalog;
 
 /// Storage pod each rack contributes to the store.
 const CONVENTIONAL_PER_RACK: u32 = 4;
@@ -36,6 +39,9 @@ const REPLICATION: usize = 3;
 /// Replicas stay within the object's home rack (data gravity): in-storage
 /// acceleration only pays off where the bytes already are.
 const RACK_SPREAD: u32 = 1;
+// One home rack per object is the whole replica-rack set only while every
+// replica stays in the home rack.
+const _: () = assert!(RACK_SPREAD == 1);
 
 /// What one cross-rack fetch of a given size costs: the wall-clock latency
 /// charged onto the invocation and the joules the fabric and remote drive
@@ -50,14 +56,15 @@ pub(crate) struct FetchCost {
 /// model charged when a request runs on a rack without a replica.
 #[derive(Debug, Clone)]
 pub struct DataLayer {
-    store: ObjectStore,
     racks: u32,
-    /// (function, object) -> sorted racks holding a replica.
-    placement: HashMap<(u32, u32), Vec<u32>>,
+    /// Storage nodes across all racks' pods.
+    nodes: usize,
+    /// [`object_key`] -> the rack holding every replica of the object.
+    homes: FastMap<u64, u32>,
     fetch: RemoteFetchModel,
     /// Memoized per-size fetch costs (object sizes come from a small
     /// deterministic set, so the hot path never re-prices a fetch).
-    fetch_costs: HashMap<Bytes, FetchCost>,
+    fetch_costs: FastMap<Bytes, FetchCost>,
 }
 
 impl FetchCost {
@@ -69,16 +76,22 @@ impl FetchCost {
     }
 }
 
+/// `(function, object)` packed into one word: function high, object low.
+fn object_key(function: u32, object: u32) -> u64 {
+    u64::from(function) << 32 | u64::from(object)
+}
+
 impl DataLayer {
     /// Builds the layer for `trace` over `racks` racks: a rack-aware store
-    /// (every rack holds 4 conventional + 2 DSCS storage nodes), populated
-    /// with each distinct object the trace reads, in trace order, from a
-    /// placement RNG derived from `seed`.
+    /// layout (every rack holds 4 conventional + 2 DSCS storage nodes)
+    /// places each distinct object the trace reads, in trace order, from a
+    /// placement RNG derived from `seed` — the draws
+    /// [`ObjectStore::put`] would make, without storing the objects.
     ///
     /// # Panics
     /// Panics if `racks` is zero.
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
-        let mut store = ObjectStore::with_rack_layout(
+        let store = ObjectStore::with_rack_layout(
             racks,
             CONVENTIONAL_PER_RACK,
             DSCS_PER_RACK,
@@ -87,30 +100,28 @@ impl DataLayer {
         );
         let mut rng = DeterministicRng::seeded(seed);
         let fetch = RemoteFetchModel::datacenter_default();
-        let mut placement: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        let mut fetch_costs: HashMap<Bytes, FetchCost> = HashMap::new();
+        let mut homes: FastMap<u64, u32> = FastMap::default();
+        let mut fetch_costs: FastMap<Bytes, FetchCost> = FastMap::default();
         for request in trace {
-            let ident = (request.function, request.object);
-            if placement.contains_key(&ident) {
+            let Entry::Vacant(home) = homes.entry(object_key(request.function, request.object))
+            else {
                 continue;
-            }
-            let key = ObjectCatalog::key(request.function, request.object);
+            };
             // Every benchmark is an ML pipeline over its stored input, so
             // every object is acceleratable: its primary replica lands on a
             // DSCS drive of the home rack.
-            store
-                .put(&key, request.object_bytes, true, &mut rng)
+            let placed = store
+                .place(true, &mut rng)
                 .expect("rack layout always has DSCS nodes");
-            let racks_holding = store.racks_holding(&key).expect("object just placed");
-            placement.insert(ident, racks_holding);
+            home.insert(placed.home_rack);
             fetch_costs
                 .entry(request.object_bytes)
                 .or_insert_with(|| FetchCost::of(&fetch, request.object_bytes));
         }
         DataLayer {
-            store,
             racks,
-            placement,
+            nodes: store.node_count(),
+            homes,
             fetch,
             fetch_costs,
         }
@@ -121,22 +132,22 @@ impl DataLayer {
         self.racks
     }
 
-    /// The underlying object store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
+    /// Number of storage nodes across all racks.
+    pub fn node_count(&self) -> usize {
+        self.nodes
     }
 
     /// Number of distinct objects placed.
     pub fn object_count(&self) -> usize {
-        self.placement.len()
+        self.homes.len()
     }
 
     /// The sorted racks holding a replica of `(function, object)`; empty for
     /// objects the layer never placed.
     pub fn replica_racks(&self, function: u32, object: u32) -> &[u32] {
-        self.placement
-            .get(&(function, object))
-            .map_or(&[], Vec::as_slice)
+        self.homes
+            .get(&object_key(function, object))
+            .map_or(&[], std::slice::from_ref)
     }
 
     /// Whether `rack` holds a replica of `(function, object)`.
@@ -171,7 +182,7 @@ impl DataLayer {
 mod tests {
     use super::*;
     use crate::trace::RateProfile;
-    use crate::workload::Workload;
+    use crate::workload::{ObjectCatalog, Workload};
 
     fn short_trace(seed: u64) -> Vec<TraceRequest> {
         let profile = RateProfile {
@@ -185,13 +196,51 @@ mod tests {
         let trace = short_trace(1);
         let data = DataLayer::for_trace(&trace, 3, 7);
         assert!(data.object_count() > 0);
-        for request in &trace {
+        for (i, request) in trace.iter().enumerate() {
             let racks = data.replica_racks(request.function, request.object);
-            assert!(!racks.is_empty(), "request {} unplaced", request.id);
+            assert!(!racks.is_empty(), "request {i} unplaced");
             assert!(racks.iter().all(|&r| r < 3), "rack out of range: {racks:?}");
         }
         assert_eq!(data.rack_count(), 3);
-        assert_eq!(data.store().object_count(), data.object_count());
+        assert_eq!(
+            data.node_count(),
+            3 * (CONVENTIONAL_PER_RACK + DSCS_PER_RACK) as usize
+        );
+    }
+
+    /// The layer's placement is [`ObjectStore`]'s: putting the trace's
+    /// objects into a rack-aware store in trace order, from the same seed,
+    /// yields the same replica racks for every object.
+    #[test]
+    fn placement_matches_an_object_store_populated_in_trace_order() {
+        for racks in 1..=4 {
+            for seed in [3, 19, 1000] {
+                let trace = short_trace(seed);
+                let data = DataLayer::for_trace(&trace, racks, seed);
+                let mut store = ObjectStore::with_rack_layout(
+                    racks,
+                    CONVENTIONAL_PER_RACK,
+                    DSCS_PER_RACK,
+                    REPLICATION,
+                    RACK_SPREAD,
+                );
+                let mut rng = DeterministicRng::seeded(seed);
+                for request in &trace {
+                    let key = ObjectCatalog::key(request.function, request.object);
+                    if store.get(&key).is_err() {
+                        store
+                            .put(&key, request.object_bytes, true, &mut rng)
+                            .expect("rack layout has DSCS nodes");
+                    }
+                    assert_eq!(
+                        data.replica_racks(request.function, request.object),
+                        store.racks_holding(&key).expect("placed"),
+                        "{key} on {racks} racks, seed {seed}"
+                    );
+                }
+                assert_eq!(data.object_count(), store.object_count());
+            }
+        }
     }
 
     #[test]

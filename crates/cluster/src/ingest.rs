@@ -734,10 +734,8 @@ impl Workload for TraceFileWorkload {
             .into_iter()
             .enumerate()
             .map(|(id, (arrival, function, _))| {
-                let id = id as u64;
-                let object = catalog.object_for(function, id);
+                let object = catalog.object_for(function, id as u64);
                 TraceRequest {
-                    id,
                     arrival,
                     benchmark: AzureWorkload::benchmark_of(function),
                     function,
@@ -1024,8 +1022,13 @@ o1,a1,f1,http,1,128,7
         assert!(a
             .iter()
             .all(|r| r.arrival < SimTime::ZERO + parsed.horizon()));
-        // Ids are sequential in arrival order; identities are hash-stable.
-        assert!(a.iter().enumerate().all(|(i, r)| r.id == i as u64));
+        // Objects are drawn by position in arrival order; identities are
+        // hash-stable.
+        let catalog = ObjectCatalog::new(parsed.objects());
+        assert!(a
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.object == catalog.object_for(r.function, i as u64)));
         let f1 = function_id("f1");
         assert!(a
             .iter()

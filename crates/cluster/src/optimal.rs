@@ -45,8 +45,7 @@
 //! combined keep-warm-vs-cold cost analysis at a caller-chosen
 //! `warm_cost_per_sec`.
 
-use std::collections::HashMap;
-
+use dscs_simcore::fasthash::FastMap;
 use dscs_simcore::time::SimTime;
 
 use crate::sim::ClusterSim;
@@ -89,7 +88,7 @@ pub fn optimal_coldstart_seconds_with(
         warm_cost_per_sec.is_finite() && warm_cost_per_sec >= 0.0,
         "warm cost must be a finite non-negative rate, got {warm_cost_per_sec}"
     );
-    let mut last_arrival: HashMap<u32, SimTime> = HashMap::new();
+    let mut last_arrival: FastMap<u32, SimTime> = FastMap::default();
     let mut bound = 0.0;
     for request in trace {
         match last_arrival.get_mut(&request.function) {
@@ -164,7 +163,7 @@ mod tests {
         let sim = sim(PlatformKind::DscsDsa);
         let trace = azure_trace(7);
         let mut expected = 0.0;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = dscs_simcore::fasthash::FastSet::default();
         for request in &trace {
             if seen.insert(request.function) {
                 expected += sim.cold_start_cost(request.benchmark).as_secs_f64();
@@ -187,7 +186,6 @@ mod tests {
     fn three_invocation_fixture() -> Vec<TraceRequest> {
         (0..3)
             .map(|i| TraceRequest {
-                id: i,
                 arrival: SimTime::from_nanos(i * 1_000_000_000),
                 benchmark: Benchmark::ALL[0],
                 function: 0,

@@ -21,11 +21,13 @@
 //!   threshold).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
 use dscs_core::benchmarks::Benchmark;
+use dscs_simcore::fasthash::FastMap;
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::experiment::ConfigError;
@@ -156,6 +158,37 @@ impl KeepalivePolicy {
             }
             _ => Ok(()),
         }
+    }
+
+    /// The eviction window a function gets under this policy: learned
+    /// from the tail of `histogram` once it is trustworthy, the policy's
+    /// conservative default otherwise.
+    fn window_for(&self, histogram: &IdleHistogram) -> SimDuration {
+        match *self {
+            KeepalivePolicy::NoKeepalive => SimDuration::ZERO,
+            KeepalivePolicy::FixedWindow(w) => w,
+            KeepalivePolicy::HybridHistogram { range, bin, .. } => {
+                if !histogram.learned() {
+                    // Pattern unknown or too spread: stay conservative so a
+                    // warm container is never evicted early.
+                    return range;
+                }
+                let learned = bin * (histogram.tail_bin(HYBRID_TAIL) as u64 + 1);
+                (learned * HYBRID_MARGIN).min(range)
+            }
+        }
+    }
+
+    /// The prewarm window a function gets under this policy from
+    /// `histogram`, capped at its eviction `window`.
+    fn prewarm_for(&self, histogram: &IdleHistogram, window: SimDuration) -> SimDuration {
+        let KeepalivePolicy::HybridHistogram { bin, head, .. } = *self else {
+            return SimDuration::ZERO;
+        };
+        if head <= 0.0 || !histogram.learned() {
+            return SimDuration::ZERO;
+        }
+        (bin * histogram.tail_bin(head) as u64).min(window)
     }
 }
 
@@ -401,11 +434,7 @@ impl SchedQueue {
                 self.seq += 1;
             }
             SchedulerPolicy::FairPerBenchmark => {
-                let b = Benchmark::ALL
-                    .iter()
-                    .position(|&x| x == benchmark)
-                    .expect("benchmark in suite");
-                self.per_bench[b].push_back(idx);
+                self.per_bench[benchmark as usize].push_back(idx);
             }
         }
     }
@@ -448,15 +477,18 @@ impl SchedQueue {
 /// needs: warm-seconds held per function pool and the share of them wasted
 /// (held to eviction without a reuse), plus prewarm hits (invocations that
 /// found a proactively warmed instance).
+///
+/// Each invoked function has one [`FunctionSlot`] caching its current
+/// windows, which change only when its histogram observes a gap, so the warm
+/// check and the invocation record each cost one map lookup.
 #[derive(Debug)]
 pub struct KeepaliveState {
     policy: KeepalivePolicy,
-    last_finish: HashMap<u32, SimTime>,
-    histograms: HashMap<u32, IdleHistogram>,
+    slots: FastMap<u32, FunctionSlot>,
     /// Per-function arrival statistics backing the learned arrival-rate
     /// estimate the predictive autoscaler consumes (fed by
     /// [`KeepaliveState::note_arrival`]).
-    arrivals: HashMap<u32, ArrivalTrack>,
+    arrivals: FastMap<u32, ArrivalTrack>,
     /// Whether idle gaps are observed into the histograms (the hybrid
     /// policy's learning signal).
     observe_gaps: bool,
@@ -464,6 +496,19 @@ pub struct KeepaliveState {
     gap_bin: SimDuration,
     gap_range: SimDuration,
     stats: KeepaliveStats,
+}
+
+/// Keepalive state of one invoked function: when its latest invocation
+/// finishes, its idle-gap histogram, and the windows that histogram implies.
+#[derive(Debug)]
+struct FunctionSlot {
+    last_finish: SimTime,
+    /// Observed idle gaps (empty unless the policy observes gaps).
+    histogram: IdleHistogram,
+    /// [`KeepaliveState::window`] as of the latest observed gap.
+    window: SimDuration,
+    /// [`KeepaliveState::prewarm_window`] as of the latest observed gap.
+    prewarm: SimDuration,
 }
 
 /// Per-function arrival statistics behind the exponentially-decayed rate
@@ -555,6 +600,12 @@ impl IdleHistogram {
             self.out_of_bounds as f64 / all as f64
         }
     }
+
+    /// Whether the histogram has learned a trustworthy pattern: enough
+    /// samples, few out-of-range gaps.
+    fn learned(&self) -> bool {
+        self.total >= HYBRID_MIN_SAMPLES && self.oob_rate() <= HYBRID_OOB_LIMIT
+    }
 }
 
 /// Histogram geometry used for arrival-rate tracking when the keepalive
@@ -592,9 +643,8 @@ impl KeepaliveState {
         };
         KeepaliveState {
             policy,
-            last_finish: HashMap::new(),
-            histograms: HashMap::new(),
-            arrivals: HashMap::new(),
+            slots: FastMap::default(),
+            arrivals: FastMap::default(),
             observe_gaps,
             gap_bin,
             gap_range,
@@ -612,30 +662,12 @@ impl KeepaliveState {
         self.stats
     }
 
-    /// Whether the hybrid histogram for `function` has learned a trustworthy
-    /// pattern (enough samples, few out-of-range gaps).
-    fn learned(&self, function: u32) -> bool {
-        self.histograms.get(&function).is_some_and(|hist| {
-            hist.total >= HYBRID_MIN_SAMPLES && hist.oob_rate() <= HYBRID_OOB_LIMIT
-        })
-    }
-
     /// The current keepalive window for `function`: how long past its last
     /// finish a warm container survives.
     pub fn window(&self, function: u32) -> SimDuration {
-        match self.policy {
-            KeepalivePolicy::NoKeepalive => SimDuration::ZERO,
-            KeepalivePolicy::FixedWindow(w) => w,
-            KeepalivePolicy::HybridHistogram { range, bin, .. } => {
-                if !self.learned(function) {
-                    // Pattern unknown or too spread: stay conservative so a
-                    // warm container is never evicted early.
-                    return range;
-                }
-                let hist = &self.histograms[&function];
-                let learned = bin * (hist.tail_bin(HYBRID_TAIL) as u64 + 1);
-                (learned * HYBRID_MARGIN).min(range)
-            }
+        match self.slots.get(&function) {
+            Some(slot) => slot.window,
+            None => self.policy.window_for(&IdleHistogram::default()),
         }
     }
 
@@ -653,14 +685,9 @@ impl KeepaliveState {
     /// never released, and prewarming degenerates to the plain hybrid
     /// keepalive. Always `<=` the eviction window.
     pub fn prewarm_window(&self, function: u32) -> SimDuration {
-        let KeepalivePolicy::HybridHistogram { bin, head, .. } = self.policy else {
-            return SimDuration::ZERO;
-        };
-        if head <= 0.0 || !self.learned(function) {
-            return SimDuration::ZERO;
-        }
-        let edge = self.histograms[&function].tail_bin(head);
-        (bin * edge as u64).min(self.window(function))
+        self.slots
+            .get(&function)
+            .map_or(SimDuration::ZERO, |slot| slot.prewarm)
     }
 
     /// Whether an invocation of `function` arriving at `now` finds a warm
@@ -669,54 +696,59 @@ impl KeepaliveState {
     /// warm; with prewarming, an idle gap shorter than the prewarm window
     /// lands before the proactive re-warm and runs cold.
     pub fn is_warm(&self, function: u32, now: SimTime) -> bool {
-        match self.last_finish.get(&function) {
-            None => false,
-            Some(&finish) => {
-                let idle = now.saturating_since(finish);
-                idle <= self.window(function)
-                    && (idle.is_zero() || idle >= self.prewarm_window(function))
-            }
-        }
+        self.slots.get(&function).is_some_and(|slot| {
+            let idle = now.saturating_since(slot.last_finish);
+            idle <= slot.window && (idle.is_zero() || idle >= slot.prewarm)
+        })
     }
 
     /// Records that an invocation of `function` starting at `now` will finish
     /// at `finish`, feeding the observed idle gap to the learning policy and
     /// the warm-memory ledger.
     pub fn record_invocation(&mut self, function: u32, now: SimTime, finish: SimTime) {
-        if let Some(&prev) = self.last_finish.get(&function) {
-            let idle = now.saturating_since(prev);
-            let window = self.window(function);
-            let prewarm = self.prewarm_window(function);
-            if idle <= window && (idle.is_zero() || idle >= prewarm) {
-                // Warm start: the pool held memory from the prewarm point (or
-                // the finish, without prewarming) until this arrival.
-                self.stats.warm_seconds += idle.saturating_sub(prewarm).as_secs_f64();
-                if !idle.is_zero() && self.prewarm_enabled() && self.learned(function) {
-                    self.stats.prewarm_hits += 1;
-                }
-            } else if idle > window {
-                // Evicted before this arrival: the whole held window was
-                // wasted.
-                let held = window.saturating_sub(prewarm).as_secs_f64();
-                self.stats.warm_seconds += held;
-                self.stats.wasted_warm_seconds += held;
+        let (policy, prewarm_enabled) = (self.policy, self.prewarm_enabled());
+        let slot = match self.slots.entry(function) {
+            Entry::Vacant(vacant) => {
+                let histogram = IdleHistogram::default();
+                let window = policy.window_for(&histogram);
+                vacant.insert(FunctionSlot {
+                    last_finish: finish,
+                    histogram,
+                    window,
+                    prewarm: SimDuration::ZERO,
+                });
+                return;
             }
-            // Third case — cold because the arrival landed before the
-            // prewarm point: the container was released at finish, so no
-            // memory was held at all.
-            if self.observe_gaps {
-                let (bin, range) = (self.gap_bin, self.gap_range);
-                self.histograms
-                    .entry(function)
-                    .or_default()
-                    .observe(idle, bin, range);
+            Entry::Occupied(occupied) => occupied.into_mut(),
+        };
+        let idle = now.saturating_since(slot.last_finish);
+        let (window, prewarm) = (slot.window, slot.prewarm);
+        if idle <= window && (idle.is_zero() || idle >= prewarm) {
+            // Warm start: the pool held memory from the prewarm point (or
+            // the finish, without prewarming) until this arrival.
+            self.stats.warm_seconds += idle.saturating_sub(prewarm).as_secs_f64();
+            if !idle.is_zero() && prewarm_enabled && slot.histogram.learned() {
+                self.stats.prewarm_hits += 1;
             }
+        } else if idle > window {
+            // Evicted before this arrival: the whole held window was
+            // wasted.
+            let held = window.saturating_sub(prewarm).as_secs_f64();
+            self.stats.warm_seconds += held;
+            self.stats.wasted_warm_seconds += held;
+        }
+        // Third case — cold because the arrival landed before the
+        // prewarm point: the container was released at finish, so no
+        // memory was held at all.
+        if self.observe_gaps {
+            slot.histogram.observe(idle, self.gap_bin, self.gap_range);
+            slot.window = policy.window_for(&slot.histogram);
+            slot.prewarm = policy.prewarm_for(&slot.histogram, slot.window);
         }
         // Keep the furthest-out finish time: with many concurrent instances
         // the container pool stays warm until the last one drains.
-        let entry = self.last_finish.entry(function).or_insert(finish);
-        if finish > *entry {
-            *entry = finish;
+        if finish > slot.last_finish {
+            slot.last_finish = finish;
         }
     }
 
@@ -725,14 +757,15 @@ impl KeepaliveState {
     /// reuse, which counts as wasted. Functions are flushed in id order so
     /// the floating-point accumulation is deterministic.
     pub fn finish_accounting(&mut self, end: SimTime) {
-        let mut functions: Vec<u32> = self.last_finish.keys().copied().collect();
+        let mut functions: Vec<u32> = self.slots.keys().copied().collect();
         functions.sort_unstable();
         for function in functions {
-            let finish = self.last_finish[&function];
-            let elapsed = end.saturating_since(finish);
-            let window = self.window(function);
-            let prewarm = self.prewarm_window(function);
-            let held = elapsed.min(window).saturating_sub(prewarm).as_secs_f64();
+            let slot = &self.slots[&function];
+            let elapsed = end.saturating_since(slot.last_finish);
+            let held = elapsed
+                .min(slot.window)
+                .saturating_sub(slot.prewarm)
+                .as_secs_f64();
             self.stats.warm_seconds += held;
             self.stats.wasted_warm_seconds += held;
         }
@@ -798,7 +831,7 @@ impl KeepaliveState {
 
     #[cfg(test)]
     fn last_finish_for_test(&self, function: u32) -> SimTime {
-        self.last_finish[&function]
+        self.slots[&function].last_finish
     }
 }
 
@@ -868,29 +901,57 @@ mod tests {
         assert!(!s.is_warm(7, secs(71)));
     }
 
+    /// A function's cached windows change at exactly two points: its 10th
+    /// observed gap (the pattern is learned) and its out-of-range rate
+    /// crossing 10% (unlearned again), under both histogram policies.
     #[test]
     fn hybrid_starts_conservative_then_learns_the_tail() {
-        let policy = KeepalivePolicy::HybridHistogram {
-            range: SimDuration::from_secs(600),
-            bin: SimDuration::from_secs(10),
-            head: 0.0,
-        };
-        let mut s = KeepaliveState::new(policy);
-        // Unknown function: full range.
-        assert_eq!(s.window(3), SimDuration::from_secs(600));
-        // Invocations every ~25 s: idle gaps land in the 20-30 s bin.
-        let mut t = 0u64;
-        for _ in 0..40 {
+        let range = SimDuration::from_secs(600);
+        for (policy, learned_prewarm) in [
+            (KeepalivePolicy::hybrid_default(), SimDuration::ZERO),
+            (
+                KeepalivePolicy::prewarm_default(),
+                SimDuration::from_secs(20),
+            ),
+        ] {
+            let name = policy.name();
+            let mut s = KeepaliveState::new(policy);
+            // Unknown function: full range, no prewarm.
+            assert_eq!(s.window(3), range, "{name}");
+            assert_eq!(s.prewarm_window(3), SimDuration::ZERO, "{name}");
+            // Invocations every 26 s, each running 1 s: the 25 s idle gaps
+            // land in the 20-30 s bin.
+            let mut t = 0u64;
             s.record_invocation(3, secs(t), secs(t + 1));
+            for gaps in 1..10 {
+                t += 26;
+                s.record_invocation(3, secs(t), secs(t + 1));
+                assert_eq!(s.window(3), range, "{name}: {gaps} gaps");
+                assert_eq!(s.prewarm_window(3), SimDuration::ZERO, "{name}");
+            }
             t += 26;
+            s.record_invocation(3, secs(t), secs(t + 1));
+            // The 10th gap: the 30 s tail-bin edge plus the 10% margin.
+            let learned = SimDuration::from_secs(33);
+            assert_eq!(s.window(3), learned, "{name}");
+            assert_eq!(s.prewarm_window(3), learned_prewarm, "{name}");
+            // The learned window still covers the observed pattern.
+            let finish = s.last_finish_for_test(3);
+            assert!(s.is_warm(3, finish + SimDuration::from_secs(25)), "{name}");
+            assert!(!s.is_warm(3, finish + SimDuration::from_secs(34)), "{name}");
+            // One out-of-range gap in eleven stays within the 10% limit...
+            t += 700;
+            s.record_invocation(3, secs(t), secs(t + 1));
+            assert_eq!(s.window(3), learned, "{name}");
+            assert_eq!(s.prewarm_window(3), learned_prewarm, "{name}");
+            // ...and a second crosses it: back to the conservative range.
+            t += 700;
+            s.record_invocation(3, secs(t), secs(t + 1));
+            assert_eq!(s.window(3), range, "{name}");
+            assert_eq!(s.prewarm_window(3), SimDuration::ZERO, "{name}");
+            let finish = s.last_finish_for_test(3);
+            assert!(s.is_warm(3, finish + SimDuration::from_secs(500)), "{name}");
         }
-        let w = s.window(3);
-        assert!(
-            w >= SimDuration::from_secs(30) && w < SimDuration::from_secs(60),
-            "learned window {w}"
-        );
-        // The learned window still covers the observed pattern.
-        assert!(s.is_warm(3, s.last_finish_for_test(3) + SimDuration::from_secs(25)));
     }
 
     #[test]

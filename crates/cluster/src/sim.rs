@@ -25,7 +25,6 @@
 //! (hits, wasted warm-seconds) and per-rack summaries for the at-scale policy
 //! sweeps.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
@@ -35,6 +34,7 @@ use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
 use dscs_platforms::{PlatformKind, PlatformLocation};
 use dscs_simcore::events::EventQueue;
+use dscs_simcore::fasthash::FastSet;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::series::TimeSeries;
@@ -370,6 +370,9 @@ enum RackEvent {
     },
 }
 
+/// Number of benchmarks the per-benchmark cost tables cover.
+const BENCHMARKS: usize = Benchmark::ALL.len();
+
 /// Precomputed cold-start penalties for one benchmark.
 #[derive(Debug, Clone, Copy)]
 struct ColdCosts {
@@ -386,7 +389,7 @@ struct ColdCosts {
 struct RackState {
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    cached_on_flash: HashSet<u32>,
+    cached_on_flash: FastSet<u32>,
     rng: DeterministicRng,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
@@ -463,11 +466,13 @@ fn merge_lanes(lanes: Vec<RackRun>) -> RackRun {
 pub struct ClusterSim {
     platform: PlatformKind,
     config: ClusterConfig,
-    service_times: HashMap<Benchmark, SimDuration>,
+    /// Per-benchmark service times, indexed by `Benchmark as usize`.
+    service_times: [SimDuration; BENCHMARKS],
     /// Unweighted mean service time over the benchmark suite, used by
     /// predictive autoscaling to convert arrival rates into instance demand.
     mean_service_s: f64,
-    cold_costs: HashMap<Benchmark, ColdCosts>,
+    /// Per-benchmark cold-start penalties, indexed by `Benchmark as usize`.
+    cold_costs: [ColdCosts; BENCHMARKS],
     /// Whether the platform's drive can cache evicted images on flash (the
     /// DSCS-Serverless P2P reload path).
     flash_cache: bool,
@@ -484,41 +489,31 @@ impl ClusterSim {
             quantile: 0.50,
             ..EvalOptions::default()
         };
-        let service_times: HashMap<Benchmark, SimDuration> = Benchmark::ALL
-            .iter()
-            .map(|&b| (b, system.evaluate(b, platform, options).total_latency()))
-            .collect();
+        let service_times =
+            Benchmark::ALL.map(|b| system.evaluate(b, platform, options).total_latency());
 
         let cold_model = ColdStartModel::default();
         let spec = platform.spec();
-        let cold_costs = Benchmark::ALL
-            .iter()
-            .map(|&b| {
-                let bench = b.spec();
-                let image: Bytes = bench
-                    .pipeline()
-                    .functions
-                    .iter()
-                    .map(|f| f.image_size)
-                    .sum();
-                let weights = bench.model(1).weight_bytes();
-                let weight_load = cold_model.weight_load_latency(weights, spec.memory_bandwidth);
-                let costs = ColdCosts {
-                    remote: cold_model.cold_start_latency(image, ImageSource::RemoteRegistry)
-                        + weight_load,
-                    local: cold_model.cold_start_latency(image, ImageSource::LocalFlash)
-                        + weight_load,
-                    snapshot: cold_model.cold_start_latency(image, ImageSource::SnapshotRestore)
-                        + weight_load,
-                };
-                (b, costs)
-            })
-            .collect();
+        let cold_costs = Benchmark::ALL.map(|b| {
+            let bench = b.spec();
+            let image: Bytes = bench
+                .pipeline()
+                .functions
+                .iter()
+                .map(|f| f.image_size)
+                .sum();
+            let weights = bench.model(1).weight_bytes();
+            let weight_load = cold_model.weight_load_latency(weights, spec.memory_bandwidth);
+            ColdCosts {
+                remote: cold_model.cold_start_latency(image, ImageSource::RemoteRegistry)
+                    + weight_load,
+                local: cold_model.cold_start_latency(image, ImageSource::LocalFlash) + weight_load,
+                snapshot: cold_model.cold_start_latency(image, ImageSource::SnapshotRestore)
+                    + weight_load,
+            }
+        });
 
-        let mean_service_s = Benchmark::ALL
-            .iter()
-            .map(|b| service_times[b].as_secs_f64())
-            .sum::<f64>()
+        let mean_service_s = service_times.iter().map(|s| s.as_secs_f64()).sum::<f64>()
             / Benchmark::ALL.len() as f64;
 
         ClusterSim {
@@ -539,9 +534,9 @@ impl ClusterSim {
         ClusterSim {
             platform: self.platform,
             config,
-            service_times: self.service_times.clone(),
+            service_times: self.service_times,
             mean_service_s: self.mean_service_s,
-            cold_costs: self.cold_costs.clone(),
+            cold_costs: self.cold_costs,
             flash_cache: self.flash_cache,
         }
     }
@@ -558,7 +553,7 @@ impl ClusterSim {
 
     /// The service time used for one benchmark.
     pub fn service_time(&self, benchmark: Benchmark) -> SimDuration {
-        self.service_times[&benchmark]
+        self.service_times[benchmark as usize]
     }
 
     /// The cold-start penalty a first (registry) cold start of `benchmark`
@@ -566,7 +561,7 @@ impl ClusterSim {
     /// first cold start of a function always pays the full registry spawn —
     /// there is no cached image or snapshot to reuse yet.
     pub fn cold_start_cost(&self, benchmark: Benchmark) -> SimDuration {
-        self.cold_costs[&benchmark].remote
+        self.cold_costs[benchmark as usize].remote
     }
 
     /// The cold-start penalty a *repeat* cold start of `benchmark` pays on
@@ -582,7 +577,7 @@ impl ClusterSim {
     /// [`crate::optimal`] consumes this, so the offline bound automatically
     /// prices gaps against the same modality the simulated policy pays.
     pub fn repeat_cold_start_cost(&self, benchmark: Benchmark) -> SimDuration {
-        let costs = self.cold_costs[&benchmark];
+        let costs = self.cold_costs[benchmark as usize];
         match self.config.cold_path {
             ColdStartPath::FreshSpawn => costs.remote,
             ColdStartPath::FlashReload => {
@@ -600,7 +595,7 @@ impl ClusterSim {
     /// (restore stream + page-fault warmup tail + model-weight load),
     /// regardless of the configured path.
     pub fn snapshot_restore_cost(&self, benchmark: Benchmark) -> SimDuration {
-        self.cold_costs[&benchmark].snapshot
+        self.cold_costs[benchmark as usize].snapshot
     }
 
     /// Whether this platform caches evicted images on the drive's flash
@@ -678,7 +673,7 @@ impl ClusterSim {
         RackState {
             queue: SchedQueue::new(self.config.scheduler),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            cached_on_flash: HashSet::new(),
+            cached_on_flash: FastSet::default(),
             rng,
             busy: 0,
             capacity: initial_capacity,
@@ -718,7 +713,7 @@ impl ClusterSim {
             rack.queue.push(
                 idx,
                 request.benchmark,
-                self.service_times[&request.benchmark],
+                self.service_times[request.benchmark as usize],
             );
             rack.peak_queue = rack.peak_queue.max(rack.queue.len());
         }
@@ -742,11 +737,11 @@ impl ClusterSim {
         while rack.busy < rack.capacity {
             let Some(idx) = rack.queue.pop() else { break };
             let request = &trace[idx];
-            let base = self.service_times[&request.benchmark];
+            let base = self.service_times[request.benchmark as usize];
             let jitter = (self.config.service_jitter_sigma * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
             if !rack.keepalive.is_warm(request.function, now) {
-                let costs = self.cold_costs[&request.benchmark];
+                let costs = self.cold_costs[request.benchmark as usize];
                 // A repeat cold start can reuse whatever the first one left
                 // behind on this rack: the flash-cached image or the process
                 // snapshot, per the configured path.
@@ -1421,10 +1416,19 @@ mod tests {
         assert!(report.mean_latency_ms() > warm.mean_latency_ms());
     }
 
+    /// The per-benchmark cost tables are indexed by `Benchmark as usize`,
+    /// which must be the benchmark's position in `Benchmark::ALL`.
+    #[test]
+    fn benchmark_discriminants_are_their_suite_positions() {
+        for (i, b) in Benchmark::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "{b}");
+        }
+    }
+
     #[test]
     fn flash_caching_makes_dscs_repeat_cold_starts_cheaper() {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-        let costs = sim.cold_costs[&Benchmark::CreditRiskAssessment];
+        let costs = sim.cold_costs[Benchmark::CreditRiskAssessment as usize];
         assert!(costs.local < costs.remote);
         // The baseline CPU never caches on drive flash.
         let cpu = ClusterSim::new(PlatformKind::BaselineCpu, ClusterConfig::default());
@@ -1661,7 +1665,6 @@ mod tests {
         // spills off the full replica rack.
         let trace: Vec<TraceRequest> = (0..400)
             .map(|i| TraceRequest {
-                id: i,
                 arrival: SimTime::from_nanos(i * 1_000),
                 benchmark: Benchmark::ALL[0],
                 function: 0,

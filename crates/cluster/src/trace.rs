@@ -21,8 +21,6 @@ use crate::workload::{ObjectCatalog, Workload, WorkloadError};
 /// One request in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRequest {
-    /// Request identifier (position in the trace).
-    pub id: u64,
     /// Arrival time.
     pub arrival: SimTime,
     /// The application invoked.
@@ -149,7 +147,6 @@ impl Workload for RateProfile {
                 let function = rng.next_index(Benchmark::ALL.len()) as u32;
                 let object = catalog.object_for(function, id);
                 requests.push(TraceRequest {
-                    id,
                     arrival: SimTime::ZERO + offset + t,
                     benchmark: Benchmark::ALL[function as usize],
                     function,

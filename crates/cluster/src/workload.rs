@@ -209,8 +209,9 @@ impl ObjectCatalog {
         Bytes::new(self.population.base_size.as_u64() << doublings)
     }
 
-    /// The store key of `(function, object)` — the name the object lives
-    /// under in the cluster's [`dscs_storage::object_store::ObjectStore`].
+    /// The store key of `(function, object)` — the name the object would
+    /// live under in a [`dscs_storage::object_store::ObjectStore`] holding
+    /// the trace's objects (the data layer places without storing them).
     pub fn key(function: u32, object: u32) -> String {
         format!("f{function}/o{object}")
     }
@@ -395,7 +396,6 @@ impl Workload for AzureWorkload {
                 let function = zipf.sample(rng) as u32;
                 let object = catalog.object_for(function, id);
                 requests.push(TraceRequest {
-                    id,
                     arrival: SimTime::ZERO + offset + t,
                     benchmark: AzureWorkload::benchmark_of(function),
                     function,

@@ -25,6 +25,8 @@
 //!   reports (the vendored `serde` stub has no `serde_json`).
 //! * [`csv`] — a minimal CSV record tokenizer/renderer for ingesting the
 //!   Azure Functions invocation-trace files (and emitting compatible ones).
+//! * [`fasthash`] — a fast, non-cryptographic hasher and the
+//!   [`FastMap`]/[`FastSet`] aliases the simulator's hot paths key by id.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@
 pub mod csv;
 pub mod dist;
 pub mod events;
+pub mod fasthash;
 pub mod fit;
 pub mod json;
 pub mod pareto;

@@ -50,7 +50,7 @@ pub use drive::{DscsDrive, HostSoftwareCosts, P2pDriverCosts, SsdDrive};
 pub use flash::{FlashArray, FlashConfig};
 pub use network::{NetworkConfig, NetworkModel};
 pub use object_store::{
-    DriveClass, ObjectMeta, ObjectStore, RemoteFetchModel, StorageNodeId, StoreError,
+    DriveClass, ObjectMeta, ObjectStore, Placement, RemoteFetchModel, StorageNodeId, StoreError,
 };
 pub use pcie::{PcieGeneration, PcieLink};
 pub use snapshot::{SnapshotConfig, SnapshotStore};

@@ -82,14 +82,27 @@ pub struct ObjectStore {
     node_racks: HashMap<StorageNodeId, u32>,
     /// Number of racks the nodes span (rack indices are `0..racks`).
     racks: u32,
-    /// Maximum number of distinct racks one object's replicas may span.
-    /// `1` keeps every replica in the object's home rack (data gravity);
-    /// `racks` places replicas anywhere.
-    rack_spread: u32,
     objects: HashMap<String, ObjectMeta>,
     replication: usize,
     /// Chunk size used to split very large objects across drives.
     chunk_size: Bytes,
+    /// The DSCS-Drive nodes, sorted: the candidates for an acceleratable
+    /// object's primary replica.
+    dscs_nodes: Vec<StorageNodeId>,
+    /// Per home rack, the sorted nodes of it and its `rack_spread - 1`
+    /// neighbouring racks: the candidates for an object's remaining
+    /// replicas. A spread of `1` keeps every replica in the object's home
+    /// rack (data gravity); `racks` places replicas anywhere.
+    candidates: Vec<Vec<StorageNodeId>>,
+}
+
+/// Where [`ObjectStore::place`] puts one object.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    /// The object's home rack, which anchors its replicas.
+    pub home_rack: u32,
+    /// Nodes holding a replica (primary first).
+    pub replicas: Vec<StorageNodeId>,
 }
 
 impl ObjectStore {
@@ -106,14 +119,43 @@ impl ObjectStore {
         assert!(!nodes.is_empty(), "object store needs at least one node");
         assert!(replication >= 1, "replication factor must be at least 1");
         let node_racks = nodes.keys().map(|&id| (id, 0)).collect();
+        ObjectStore::assemble(nodes, node_racks, 1, 1, replication)
+    }
+
+    /// Builds a store over placed nodes, precomputing the candidate lists
+    /// [`ObjectStore::place`] draws from.
+    fn assemble(
+        nodes: HashMap<StorageNodeId, DriveClass>,
+        node_racks: HashMap<StorageNodeId, u32>,
+        racks: u32,
+        rack_spread: u32,
+        replication: usize,
+    ) -> Self {
+        let mut sorted: Vec<StorageNodeId> = nodes.keys().copied().collect();
+        sorted.sort_unstable();
+        let dscs_nodes = sorted
+            .iter()
+            .copied()
+            .filter(|n| nodes[n] == DriveClass::Dscs)
+            .collect();
+        let candidates = (0..racks)
+            .map(|home| {
+                sorted
+                    .iter()
+                    .copied()
+                    .filter(|n| (node_racks[n] + racks - home) % racks < rack_spread)
+                    .collect()
+            })
+            .collect();
         ObjectStore {
             nodes,
             node_racks,
-            racks: 1,
-            rack_spread: 1,
+            racks,
             objects: HashMap::new(),
             replication,
             chunk_size: Bytes::from_mib(64),
+            dscs_nodes,
+            candidates,
         }
     }
 
@@ -168,15 +210,13 @@ impl ObjectStore {
                 node_racks.insert(id, rack);
             }
         }
-        ObjectStore {
+        ObjectStore::assemble(
             nodes,
             node_racks,
             racks,
             rack_spread,
-            objects: HashMap::new(),
-            replication: replication.min((per_rack * rack_spread) as usize),
-            chunk_size: Bytes::from_mib(64),
-        }
+            replication.min((per_rack * rack_spread) as usize),
+        )
     }
 
     /// Number of storage nodes.
@@ -218,12 +258,7 @@ impl ObjectStore {
         self.nodes.get(&node).copied()
     }
 
-    /// Stores (or replaces) an object. If `acceleratable` is set and the store
-    /// has DSCS nodes, the primary replica is placed on a DSCS-Drive so the
-    /// in-storage accelerator can reach the data. The primary's rack (or a
-    /// random *home rack*, for non-acceleratable objects) anchors placement:
-    /// the remaining replicas land on random distinct nodes within the home
-    /// rack and its `rack_spread - 1` neighbouring racks.
+    /// Stores (or replaces) an object, placed by [`ObjectStore::place`].
     pub fn put(
         &mut self,
         key: impl Into<String>,
@@ -232,38 +267,7 @@ impl ObjectStore {
         rng: &mut DeterministicRng,
     ) -> Result<ObjectMeta, StoreError> {
         let key = key.into();
-        let mut replicas = Vec::with_capacity(self.replication);
-        let home = if acceleratable {
-            let dscs_nodes: Vec<StorageNodeId> = self.nodes_of_class(DriveClass::Dscs);
-            if dscs_nodes.is_empty() {
-                return Err(StoreError::NoNodesOfClass(DriveClass::Dscs));
-            }
-            let primary = *rng.choose(&dscs_nodes);
-            replicas.push(primary);
-            self.node_racks[&primary]
-        } else if self.racks == 1 {
-            0
-        } else {
-            rng.next_index(self.racks as usize) as u32
-        };
-        let allowed: Vec<StorageNodeId> = {
-            let mut v: Vec<_> = self
-                .nodes
-                .keys()
-                .copied()
-                .filter(|n| {
-                    (self.node_racks[n] + self.racks - home) % self.racks < self.rack_spread
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        while replicas.len() < self.replication.min(allowed.len()) {
-            let candidate = *rng.choose(&allowed);
-            if !replicas.contains(&candidate) {
-                replicas.push(candidate);
-            }
-        }
+        let Placement { replicas, .. } = self.place(acceleratable, rng)?;
         let meta = ObjectMeta {
             key: key.clone(),
             size,
@@ -272,6 +276,45 @@ impl ObjectStore {
         };
         self.objects.insert(key, meta.clone());
         Ok(meta)
+    }
+
+    /// Draws the replica set for a new object without storing it — the one
+    /// placement rule behind [`ObjectStore::put`], for callers that keep
+    /// their own index. If `acceleratable` is set and the store has DSCS
+    /// nodes, the primary replica is placed on a DSCS-Drive so the in-storage
+    /// accelerator can reach the data. The primary's rack (or a random *home
+    /// rack*, for non-acceleratable objects) anchors placement: the remaining
+    /// replicas land on random distinct nodes within the home rack and its
+    /// `rack_spread - 1` neighbouring racks.
+    pub fn place(
+        &self,
+        acceleratable: bool,
+        rng: &mut DeterministicRng,
+    ) -> Result<Placement, StoreError> {
+        let mut replicas = Vec::with_capacity(self.replication);
+        let home_rack = if acceleratable {
+            if self.dscs_nodes.is_empty() {
+                return Err(StoreError::NoNodesOfClass(DriveClass::Dscs));
+            }
+            let primary = *rng.choose(&self.dscs_nodes);
+            replicas.push(primary);
+            self.node_racks[&primary]
+        } else if self.racks == 1 {
+            0
+        } else {
+            rng.next_index(self.racks as usize) as u32
+        };
+        let allowed = &self.candidates[home_rack as usize];
+        while replicas.len() < self.replication.min(allowed.len()) {
+            let candidate = *rng.choose(allowed);
+            if !replicas.contains(&candidate) {
+                replicas.push(candidate);
+            }
+        }
+        Ok(Placement {
+            home_rack,
+            replicas,
+        })
     }
 
     /// Looks up an object.
@@ -305,17 +348,6 @@ impl ObjectStore {
     pub fn chunk_count(&self, key: &str) -> Result<u64, StoreError> {
         let meta = self.get(key)?;
         Ok(meta.size.as_u64().div_ceil(self.chunk_size.as_u64()).max(1))
-    }
-
-    fn nodes_of_class(&self, class: DriveClass) -> Vec<StorageNodeId> {
-        let mut v: Vec<StorageNodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, c)| **c == class)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
