@@ -19,7 +19,7 @@
 //!                    [--cold-path fresh|flash|snapshot]...
 //!                    [--ipc shm|socket|http]...
 //!                    [--workload azure|bursty|trace:<path>[@<day>]]...
-//!                    [--regret | --no-regret] [--out PATH]
+//!                    [--out PATH]
 //!
 //! Sweeps scheduler x keepalive x scaling x balancer x platform over the
 //! bursty Figure-13 trace and an Azure-style synthetic workload, sharded
@@ -54,10 +54,9 @@
 //! run that same restricted grid at smoke/quick scale so CI can exercise
 //! the preset cheaply and measure single-cell rack-parallel speedup.
 //! The table's `regret %` column shows each cell's cold-start
-//! regret against the offline-optimal bound, priced under the cell's own
-//! cold-start path (on by default; --no-regret hides it — the JSON always
-//! carries the regret fields either way, plus the v8 per-cell `cold_path`,
-//! `ipc`, `restore_s` and `ipc_overhead_s` columns).
+//! regret against the offline-optimal bound (the JSON carries the regret
+//! fields too, plus the v8 per-cell `cold_path`, `ipc`, `restore_s` and
+//! `ipc_overhead_s` columns).
 //!
 //! reproduce generate-trace [--sample | --scale smoke|quick|full|large]
 //!                          [--seed N] [--out PATH]
@@ -505,7 +504,6 @@ fn at_scale(args: &[String]) {
     let mut workload_args: Vec<String> = Vec::new();
     let mut cold_path_args: Vec<ColdStartPath> = Vec::new();
     let mut ipc_args: Vec<IpcTransport> = Vec::new();
-    let mut show_regret = true;
     // The large preset restricts the policy grid to one point (the sweep
     // below is sized for a full cartesian product, not 10⁷-invocation
     // traces) and moves the worker budget inside the cell.
@@ -613,8 +611,6 @@ fn at_scale(args: &[String]) {
                     std::process::exit(2);
                 }));
             }
-            "--regret" => show_regret = true,
-            "--no-regret" => show_regret = false,
             "--balancer" => {
                 let name = value_of("--balancer");
                 options.balancer = Some(
@@ -638,8 +634,7 @@ fn at_scale(args: &[String]) {
                      [--scale smoke|quick|full|large|large-smoke|large-quick] \
                      [--balancer round-robin|least-loaded|locality] \
                      [--cold-path fresh|flash|snapshot]... [--ipc shm|socket|http]... \
-                     [--workload azure|bursty|trace:<path>[@<day>]]... \
-                     [--regret | --no-regret] [--out PATH]"
+                     [--workload azure|bursty|trace:<path>[@<day>]]... [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -731,8 +726,9 @@ fn at_scale(args: &[String]) {
             w.name, w.requests, w.horizon_s, w.source
         );
     }
-    print!(
-        "\n{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8}",
+    println!(
+        "\n{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8} {:>9} \
+         {:>10} {:>9} {:>10} {:>9} {:>7} {:>10} {:>10}",
         "workload",
         "platform",
         "sched",
@@ -743,17 +739,19 @@ fn at_scale(args: &[String]) {
         "ipc",
         "completed",
         "cold",
-    );
-    if show_regret {
-        print!(" {:>9}", "regret %");
-    }
-    println!(
-        " {:>10} {:>9} {:>10} {:>9} {:>7} {:>10} {:>10}",
-        "prewarm %", "local %", "xrack MiB", "fetch J", "peak", "mean ms", "p99 ms"
+        "regret %",
+        "prewarm %",
+        "local %",
+        "xrack MiB",
+        "fetch J",
+        "peak",
+        "mean ms",
+        "p99 ms"
     );
     for c in &report.cells {
-        print!(
-            "{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8}",
+        println!(
+            "{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8} {:>9.1} \
+             {:>10.2} {:>9.2} {:>10.1} {:>9.1} {:>7} {:>10.1} {:>10.1}",
             c.workload,
             c.platform.name(),
             c.scheduler.name(),
@@ -764,12 +762,7 @@ fn at_scale(args: &[String]) {
             c.ipc.name(),
             c.completed,
             c.cold_starts,
-        );
-        if show_regret {
-            print!(" {:>9.1}", c.regret_pct * 100.0);
-        }
-        println!(
-            " {:>10.2} {:>9.2} {:>10.1} {:>9.1} {:>7} {:>10.1} {:>10.1}",
+            c.regret_pct * 100.0,
             c.prewarm_hit_rate * 100.0,
             c.locality_hit_rate * 100.0,
             c.cross_rack_bytes as f64 / (1024.0 * 1024.0),

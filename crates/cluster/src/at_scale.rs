@@ -21,8 +21,8 @@
 //! joules those moves cost — the energy axis balancers are compared on.
 //!
 //! Cells are independent, so [`SweepSpec::run`] fans them out across a
-//! vendored `std::thread` pool ([`SweepSpec::jobs`]; `0` means one worker
-//! per available core, `1` keeps the historical sequential path). Workers
+//! `std::thread` pool ([`SweepSpec::jobs`]; `0` means one worker per
+//! available core, `1` runs every cell on the caller's thread). Workers
 //! pull cells from a shared index and write results into per-cell slots, so
 //! the report always assembles in grid order: the rendered JSON is
 //! byte-identical whatever the worker count. Since v5, every cell also
@@ -31,22 +31,23 @@
 //! `events_per_sec` simulator throughput the perf gate tracks. Since v7,
 //! every cell also carries its aggregate cold-start seconds, the
 //! offline-optimal lower bound on them ([`crate::optimal`], computed once
-//! per workload × platform × cold-start-path triple and shared by every
-//! policy cell) and the derived `regret_pct` — how far the cell's policy
+//! per workload × platform pair and shared by every policy cell) and the
+//! derived `regret_pct` — how far the cell's policy
 //! combination sits above what an omniscient policy could have paid on the
 //! same trace. Since v8 the cold-start *modality* is an axis too: every
 //! cell carries its [`ColdStartPath`] (fresh spawn / flash reload /
 //! snapshot restore) and [`IpcTransport`] (shm / socket / http), plus the
-//! seconds each charged (`restore_s`, `ipc_overhead_s`), and the optimal
-//! bound is priced under the cell's own path so regret stays path-matched.
+//! seconds each charged (`restore_s`, `ipc_overhead_s`). The bound is the
+//! same under every path: it pays only each function's first cold start,
+//! which is a registry spawn whatever the path, so a cheaper modality shows
+//! up as lower regret.
 //! CI runs the quick version of the sweep every build, uploads the report as
 //! an artifact (`BENCH_cluster.json`), and diffs it against the previous
 //! run's artifact (see [`crate::perf_gate`]), giving the repo a tracked,
 //! gated performance trajectory. Fixed-seed runs are byte-for-byte
 //! reproducible.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -196,8 +197,8 @@ pub struct SweepSpec {
     /// historical value ([`IpcTransport::SharedMem`]).
     pub ipcs: Vec<IpcTransport>,
     /// Worker threads cells fan out over: `0` means one per available core
-    /// ([`std::thread::available_parallelism`]), `1` runs the historical
-    /// sequential path. Results are collected in grid order, so the rendered
+    /// ([`std::thread::available_parallelism`]), `1` runs every cell on the
+    /// caller's thread. Results are collected in grid order, so the rendered
     /// report is byte-identical for every worker count.
     pub jobs: usize,
     /// Rack worker threads *inside* each cell, the second level of
@@ -300,9 +301,10 @@ impl SweepSpec {
     /// data-movement costs.
     ///
     /// With [`SweepSpec::jobs`] other than `1`, independent cells fan out
-    /// across a pool of `std::thread` workers; results land in per-cell
-    /// slots and are assembled in grid order, so the report (and its JSON)
-    /// is byte-identical to the sequential run.
+    /// across a pool of `std::thread` workers; results are assembled in grid
+    /// order, so the report (and its JSON) is byte-identical to the
+    /// sequential run, and an invalid grid reports its first invalid cell in
+    /// grid order.
     pub fn run(&self) -> Result<AtScaleReport, ConfigError> {
         self.check()?;
         let wall_clock = std::time::Instant::now();
@@ -333,31 +335,17 @@ impl SweepSpec {
                 ))
             })
             .collect();
-        // The offline-optimal cold-start bound depends only on the trace,
-        // the platform's cold-start pricing and the cold-start *path* that
-        // prices repeat colds — never on the rest of the policy point — so
-        // compute it once per (workload, platform, cold_path) triple and
-        // share it across every cell, mirroring how base_sims memoizes
-        // model evaluation. Each path's bound comes from a sim reconfigured
-        // to that path, so regret is always measured against the cell's own
-        // modality pricing.
-        let optimal_bounds: Vec<Vec<Vec<f64>>> = workloads
+        // The offline-optimal cold-start bound depends only on the trace and
+        // the platform's registry cold-start pricing — with free warm memory
+        // hindsight keeps every container warm, so no repeat cold start (and
+        // hence no cold-start path) enters it. Compute it once per (workload,
+        // platform) pair and share it across every cell.
+        let optimal_bounds: Vec<Vec<f64>> = workloads
             .iter()
             .map(|w| {
                 base_sims
                     .iter()
-                    .map(|sim| {
-                        self.cold_paths
-                            .iter()
-                            .map(|&cold_path| {
-                                let priced = sim.reconfigured(ClusterConfig {
-                                    cold_path,
-                                    ..ClusterConfig::default()
-                                });
-                                crate::optimal::optimal_coldstart_seconds(&w.trace, &priced)
-                            })
-                            .collect()
-                    })
+                    .map(|sim| crate::optimal::optimal_coldstart_seconds(&w.trace, sim))
                     .collect()
             })
             .collect();
@@ -370,7 +358,7 @@ impl SweepSpec {
                     for &keepalive in &self.keepalives {
                         for &scaling in &self.scalings {
                             for &balancer in &self.balancers {
-                                for cold_path in 0..self.cold_paths.len() {
+                                for &cold_path in &self.cold_paths {
                                     for &ipc in &self.ipcs {
                                         points.push(CellPoint {
                                             workload,
@@ -397,8 +385,7 @@ impl SweepSpec {
         let rack_jobs = self.effective_rack_jobs(jobs);
         let run_cell = |point: &CellPoint| -> Result<SweepCell, ConfigError> {
             let workload = &workloads[point.workload];
-            let cold_path = self.cold_paths[point.cold_path];
-            let bound = optimal_bounds[point.workload][point.platform][point.cold_path];
+            let bound = optimal_bounds[point.workload][point.platform];
             let outcome = Experiment::builder(self.platforms[point.platform])
                 .trace(workload.trace.clone())
                 .racks(self.racks)
@@ -406,7 +393,7 @@ impl SweepSpec {
                 .scheduler(point.scheduler)
                 .keepalive(point.keepalive)
                 .scaling(point.scaling)
-                .cold_path(cold_path)
+                .cold_path(point.cold_path)
                 .ipc(point.ipc)
                 .data_layer(data_layers[point.workload].clone())
                 .seed(self.seed ^ 0x5EED)
@@ -423,7 +410,7 @@ impl SweepSpec {
                 keepalive: point.keepalive,
                 scaling: point.scaling,
                 balancer: point.balancer,
-                cold_path,
+                cold_path: point.cold_path,
                 ipc: point.ipc,
                 requests: workload.trace.len() as u64,
                 completed: report.completed,
@@ -454,37 +441,11 @@ impl SweepSpec {
                 rack_completed: outcome.racks.iter().map(|r| r.completed).collect(),
             })
         };
-        let cells = if jobs == 1 {
-            // Sequential fallback: the historical path, stopping at the
-            // first invalid cell.
-            points.iter().map(run_cell).collect::<Result<Vec<_>, _>>()?
-        } else {
-            // Worker pool: threads pull the next unclaimed cell index and
-            // drop the result into that cell's slot, so assembly below reads
-            // the grid back in order no matter which worker ran what.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<Result<SweepCell, ConfigError>>> =
-                (0..points.len()).map(|_| OnceLock::new()).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = points.get(index) else {
-                            break;
-                        };
-                        let filled = slots[index].set(run_cell(point));
-                        debug_assert!(filled.is_ok(), "cell {index} claimed twice");
-                    });
-                }
-            });
-            let mut cells = Vec::with_capacity(points.len());
-            for slot in slots {
-                // Propagate the first error in grid order — matching what
-                // the sequential path would have reported.
-                cells.push(slot.into_inner().expect("worker filled every slot")?);
-            }
-            cells
-        };
+        // Collecting in grid order returns the first invalid cell in grid
+        // order, whatever the worker count.
+        let cells = crate::par::map_ordered(points.len(), jobs, |i| run_cell(&points[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(AtScaleReport {
             spec: self.clone(),
             workloads: workloads
@@ -512,9 +473,7 @@ struct CellPoint {
     keepalive: KeepalivePolicy,
     scaling: ScalingPolicy,
     balancer: LoadBalancer,
-    /// Index into the spec's `cold_paths` list (the per-path optimal-bound
-    /// memo is indexed the same way).
-    cold_path: usize,
+    cold_path: ColdStartPath,
     ipc: IpcTransport,
 }
 
@@ -572,10 +531,10 @@ pub struct SweepCell {
     pub cold_starts: u64,
     /// Aggregate cold-start seconds this cell's requests paid.
     pub coldstart_s: f64,
-    /// Offline-optimal lower bound on `coldstart_s` for this cell's trace,
-    /// platform and cold-start path (see [`crate::optimal`]). Identical for
-    /// every policy cell of one (workload, platform, cold_path) triple, so
-    /// regret is always measured against the cell's own modality pricing.
+    /// Offline-optimal lower bound on `coldstart_s` for this cell's trace
+    /// and platform (see [`crate::optimal`]): one registry cold start per
+    /// function. Identical for every policy cell — and every cold-start
+    /// path — of one (workload, platform) pair.
     pub optimal_coldstart_s: f64,
     /// Policy regret: how far `coldstart_s` sits above the offline bound,
     /// as a fraction of the bound (`0.0` when the bound is zero).
@@ -634,11 +593,7 @@ impl SweepCell {
     /// Simulator throughput for this cell: events per host wall-clock
     /// second. A measurement; zero if the cell took no measurable time.
     pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s.get() > 0.0 {
-            self.events as f64 / self.wall_s.get()
-        } else {
-            0.0
-        }
+        self.wall_s.per_sec(self.events)
     }
 }
 
@@ -828,11 +783,7 @@ impl AtScaleReport {
     /// throughput, parallel speedup included. A measurement; zero if the
     /// sweep took no measurable time.
     pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s.get() > 0.0 {
-            self.total_events() as f64 / self.wall_s.get()
-        } else {
-            0.0
-        }
+        self.wall_s.per_sec(self.total_events())
     }
 
     /// Renders the report as compact, byte-for-byte reproducible JSON:
@@ -1361,9 +1312,9 @@ mod tests {
     }
 
     /// The modality axes sweep like any other: a 3-path × 3-transport grid
-    /// produces one cell per combination, each cell's optimal bound is
-    /// priced under its own cold-start path (so regret stays well-defined),
-    /// and the new cost columns light up exactly where their modality runs.
+    /// produces one cell per combination, the one shared optimal bound
+    /// floors every cell, and the new cost columns light up exactly where
+    /// their modality runs.
     #[test]
     fn cold_path_and_ipc_sweep_as_first_class_axes() {
         let spec = SweepSpec {

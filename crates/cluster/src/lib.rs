@@ -86,6 +86,7 @@ pub mod data;
 pub mod experiment;
 pub mod ingest;
 pub mod optimal;
+mod par;
 pub mod perf_gate;
 pub mod policy;
 pub mod sim;

@@ -478,7 +478,7 @@ impl SchedQueue {
 /// (held to eviction without a reuse), plus prewarm hits (invocations that
 /// found a proactively warmed instance).
 ///
-/// Each invoked function has one [`FunctionSlot`] caching its current
+/// Each invoked function has one `FunctionSlot` caching its current
 /// windows, which change only when its histogram observes a gap, so the warm
 /// check and the invocation record each cost one map lookup.
 #[derive(Debug)]

@@ -226,11 +226,7 @@ impl ClusterReport {
     /// A measurement (varies run to run); zero if the run took no measurable
     /// time.
     pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s.get() > 0.0 {
-            self.events as f64 / self.wall_s.get()
-        } else {
-            0.0
-        }
+        self.wall_s.per_sec(self.events)
     }
 
     /// Peak queue depth observed (per-bucket mean maximum).
@@ -259,8 +255,10 @@ impl ClusterReport {
     }
 }
 
-/// Per-rack outcome of a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Per-rack outcome of a run, and the tally the event loop counts into:
+/// every cluster-level total in [`ClusterReport`] is folded from these in
+/// rack order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RackSummary {
     /// Rack index.
     pub rack: u32,
@@ -270,14 +268,19 @@ pub struct RackSummary {
     pub rejected: u64,
     /// Cold starts paid on this rack.
     pub cold_starts: u64,
-    /// Cold-start seconds charged on this rack.
-    pub coldstart_s: f64,
-    /// The subset of `coldstart_s` this rack paid as snapshot restores.
-    pub restore_s: f64,
-    /// Per-request IPC transport seconds this rack charged.
-    pub ipc_overhead_s: f64,
+    /// Cold-start time charged on this rack.
+    pub coldstart: SimDuration,
+    /// The subset of `coldstart` this rack paid as snapshot restores.
+    pub restore: SimDuration,
+    /// Per-request IPC transport time this rack charged.
+    pub ipc_overhead: SimDuration,
     /// Prewarm hits on this rack.
     pub prewarm_hits: u64,
+    /// Container-idle seconds this rack's keepalive policy held warm.
+    pub warm_seconds: f64,
+    /// The share of `warm_seconds` held to eviction (or the end of the run)
+    /// without a reuse.
+    pub wasted_warm_seconds: f64,
     /// Maximum queue depth this rack reached.
     pub peak_queue: usize,
     /// Largest provisioned instance count this rack reached.
@@ -288,12 +291,16 @@ pub struct RackSummary {
     pub scale_ups: u64,
     /// Scale-down decisions this rack took.
     pub scale_downs: u64,
+    /// Time this rack spent waiting on instance provisioning.
+    pub scaling_lag: SimDuration,
     /// Requests this rack served with a local replica of their object.
     pub locality_hits: u64,
     /// Requests this rack served by fetching the object from a remote rack.
     pub remote_fetches: u64,
     /// Bytes this rack pulled across the fabric for those fetches.
     pub cross_rack_bytes: u64,
+    /// Fetch latency this rack charged onto its invocations.
+    pub fetch_latency: SimDuration,
     /// Joules this rack's remote fetches spent moving those bytes.
     pub fetch_energy_j: f64,
     /// Mean wall-clock latency of requests completed on this rack, in
@@ -396,25 +403,9 @@ struct RackState {
     capacity: u32,
     /// Instances requested but still provisioning (in the scale-up pipeline).
     pending: u32,
-    completed: u64,
-    rejected: u64,
-    cold_starts: u64,
-    coldstart: SimDuration,
-    /// The subset of `coldstart` paid as snapshot restores.
-    restore: SimDuration,
-    /// Per-request IPC transport latency charged on started invocations.
-    ipc_overhead: SimDuration,
-    peak_queue: usize,
-    peak_instances: u32,
-    low_instances: u32,
-    scale_ups: u64,
-    scale_downs: u64,
-    scaling_lag: SimDuration,
-    locality_hits: u64,
-    remote_fetches: u64,
-    cross_rack_bytes: u64,
-    fetch_latency: SimDuration,
-    fetch_energy_j: f64,
+    /// The rack's counters; [`ClusterSim::finalize`] fills in the keepalive
+    /// and latency statistics.
+    tally: RackSummary,
     /// Streaming sketch of this rack's wall-clock latencies (seconds).
     latency: QuantileSketch,
 }
@@ -578,16 +569,24 @@ impl ClusterSim {
     /// prices gaps against the same modality the simulated policy pays.
     pub fn repeat_cold_start_cost(&self, benchmark: Benchmark) -> SimDuration {
         let costs = self.cold_costs[benchmark as usize];
+        if !self.reuses_cold_artifacts() {
+            costs.remote
+        } else if self.config.cold_path == ColdStartPath::SnapshotRestore {
+            costs.snapshot
+        } else {
+            costs.local
+        }
+    }
+
+    /// Whether a repeat cold start under the configured path reuses what the
+    /// function's first cold start on the rack left behind: never for a
+    /// fresh spawn, the flash-cached image only where the drive caches one,
+    /// the process snapshot always.
+    fn reuses_cold_artifacts(&self) -> bool {
         match self.config.cold_path {
-            ColdStartPath::FreshSpawn => costs.remote,
-            ColdStartPath::FlashReload => {
-                if self.flash_cache {
-                    costs.local
-                } else {
-                    costs.remote
-                }
-            }
-            ColdStartPath::SnapshotRestore => costs.snapshot,
+            ColdStartPath::FreshSpawn => false,
+            ColdStartPath::FlashReload => self.flash_cache,
+            ColdStartPath::SnapshotRestore => true,
         }
     }
 
@@ -668,7 +667,7 @@ impl ClusterSim {
         }
     }
 
-    fn new_rack_state(&self, rng: DeterministicRng) -> RackState {
+    fn new_rack_state(&self, rack: u32, rng: DeterministicRng) -> RackState {
         let initial_capacity = self.initial_capacity();
         RackState {
             queue: SchedQueue::new(self.config.scheduler),
@@ -678,23 +677,12 @@ impl ClusterSim {
             busy: 0,
             capacity: initial_capacity,
             pending: 0,
-            completed: 0,
-            rejected: 0,
-            cold_starts: 0,
-            coldstart: SimDuration::ZERO,
-            restore: SimDuration::ZERO,
-            ipc_overhead: SimDuration::ZERO,
-            peak_queue: 0,
-            peak_instances: initial_capacity,
-            low_instances: initial_capacity,
-            scale_ups: 0,
-            scale_downs: 0,
-            scaling_lag: SimDuration::ZERO,
-            locality_hits: 0,
-            remote_fetches: 0,
-            cross_rack_bytes: 0,
-            fetch_latency: SimDuration::ZERO,
-            fetch_energy_j: 0.0,
+            tally: RackSummary {
+                rack,
+                peak_instances: initial_capacity,
+                low_instances: initial_capacity,
+                ..Default::default()
+            },
             latency: QuantileSketch::new(),
         }
     }
@@ -708,14 +696,14 @@ impl ClusterSim {
             rack.keepalive.note_arrival(request.function, now);
         }
         if rack.queue.len() >= self.config.queue_depth {
-            rack.rejected += 1;
+            rack.tally.rejected += 1;
         } else {
             rack.queue.push(
                 idx,
                 request.benchmark,
                 self.service_times[request.benchmark as usize],
             );
-            rack.peak_queue = rack.peak_queue.max(rack.queue.len());
+            rack.tally.peak_queue = rack.tally.peak_queue.max(rack.queue.len());
         }
     }
 
@@ -723,11 +711,9 @@ impl ClusterSim {
     /// order the scheduler policy dictates, charging cold starts and remote
     /// fetches onto each started invocation. `schedule_completion` receives
     /// the service time of every started request.
-    #[allow(clippy::too_many_arguments)]
     fn start_queued(
         &self,
         rack: &mut RackState,
-        rack_idx: u32,
         now: SimTime,
         trace: &[TraceRequest],
         data: Option<&DataLayer>,
@@ -741,61 +727,42 @@ impl ClusterSim {
             let jitter = (self.config.service_jitter_sigma * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
             if !rack.keepalive.is_warm(request.function, now) {
-                let costs = self.cold_costs[request.benchmark as usize];
-                // A repeat cold start can reuse whatever the first one left
-                // behind on this rack: the flash-cached image or the process
-                // snapshot, per the configured path.
-                let cached = rack.cached_on_flash.contains(&request.function);
-                let penalty = match self.config.cold_path {
-                    ColdStartPath::FreshSpawn => costs.remote,
-                    ColdStartPath::FlashReload => {
-                        if self.flash_cache && cached {
-                            costs.local
-                        } else {
-                            costs.remote
-                        }
+                // A repeat cold start reuses whatever the first one left
+                // behind on this rack (the flash-cached image or the process
+                // snapshot); the set only fills on paths that reuse.
+                let penalty = if rack.cached_on_flash.contains(&request.function) {
+                    let repeat = self.repeat_cold_start_cost(request.benchmark);
+                    if self.config.cold_path == ColdStartPath::SnapshotRestore {
+                        rack.tally.restore += repeat;
                     }
-                    ColdStartPath::SnapshotRestore => {
-                        if cached {
-                            rack.restore += costs.snapshot;
-                            costs.snapshot
-                        } else {
-                            costs.remote
-                        }
-                    }
-                };
-                service += penalty;
-                rack.cold_starts += 1;
-                rack.coldstart += penalty;
-                match self.config.cold_path {
-                    ColdStartPath::FreshSpawn => {}
-                    ColdStartPath::FlashReload => {
-                        if self.flash_cache {
-                            rack.cached_on_flash.insert(request.function);
-                        }
-                    }
-                    ColdStartPath::SnapshotRestore => {
+                    repeat
+                } else {
+                    if self.reuses_cold_artifacts() {
                         rack.cached_on_flash.insert(request.function);
                     }
-                }
+                    self.cold_start_cost(request.benchmark)
+                };
+                service += penalty;
+                rack.tally.cold_starts += 1;
+                rack.tally.coldstart += penalty;
             }
             // Every started invocation — warm and cold — pays the gateway's
             // IPC transport (zero for the default shared-memory path).
             let ipc_cost = self.config.ipc.per_request_cost();
             service += ipc_cost;
-            rack.ipc_overhead += ipc_cost;
+            rack.tally.ipc_overhead += ipc_cost;
             if let Some(data) = data {
-                if data.holds(request.function, request.object, rack_idx) {
-                    rack.locality_hits += 1;
+                if data.holds(request.function, request.object, rack.tally.rack) {
+                    rack.tally.locality_hits += 1;
                 } else {
                     // The object lives elsewhere: the invocation carries
                     // the cross-rack fetch before it can execute.
                     let fetch = data.fetch_cost(request.object_bytes);
                     service += fetch.latency;
-                    rack.remote_fetches += 1;
-                    rack.cross_rack_bytes += request.object_bytes.as_u64();
-                    rack.fetch_latency += fetch.latency;
-                    rack.fetch_energy_j += fetch.energy_j;
+                    rack.tally.remote_fetches += 1;
+                    rack.tally.cross_rack_bytes += request.object_bytes.as_u64();
+                    rack.tally.fetch_latency += fetch.latency;
+                    rack.tally.fetch_energy_j += fetch.energy_j;
                 }
             }
             rack.keepalive
@@ -804,7 +771,7 @@ impl ClusterSim {
             let wall = wait + service;
             rack.latency.record(wall.as_secs_f64());
             latency_series.record(request.arrival, wall.as_millis_f64());
-            rack.completed += 1;
+            rack.tally.completed += 1;
             rack.busy += 1;
             schedule_completion(service);
         }
@@ -832,9 +799,9 @@ impl ClusterSim {
         let mut offered = TimeSeries::new(self.config.bucket, horizon);
         let mut queued = TimeSeries::new(self.config.bucket, horizon);
         let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut rack_states: Vec<RackState> = rngs[racks.clone()]
-            .iter()
-            .map(|rng| self.new_rack_state(rng.clone()))
+        let mut rack_states: Vec<RackState> = racks
+            .clone()
+            .map(|r| self.new_rack_state(r as u32, rngs[r].clone()))
             .collect();
         let mut heap: EventQueue<RackEvent> = EventQueue::new();
         if let Some(interval) = self.config.scaling.interval() {
@@ -902,8 +869,8 @@ impl ClusterSim {
                         let r = &mut rack_states[rack];
                         r.pending -= add;
                         r.capacity += add;
-                        r.peak_instances = r.peak_instances.max(r.capacity);
-                        r.scaling_lag += self.config.provisioning_delay;
+                        r.tally.peak_instances = r.tally.peak_instances.max(r.capacity);
+                        r.tally.scaling_lag += self.config.provisioning_delay;
                         (Some(rack), now)
                     }
                 }
@@ -911,7 +878,6 @@ impl ClusterSim {
             let Some(r) = rack else { continue };
             self.start_queued(
                 &mut rack_states[r],
-                (racks.start + r) as u32,
                 now,
                 trace,
                 data,
@@ -1006,32 +972,7 @@ impl ClusterSim {
         }
         .min(racks)
         .max(1);
-        if workers == 1 {
-            return ((0..racks).map(lane).collect(), 1);
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::OnceLock<RackRun>> =
-            (0..racks).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if r >= racks {
-                        break;
-                    }
-                    let filled = slots[r].set(lane(r)).is_ok();
-                    debug_assert!(filled, "rack {r} claimed twice");
-                });
-            }
-        });
-        let lanes = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("the worker pool simulated every rack")
-            })
-            .collect();
-        (lanes, workers)
+        (crate::par::map_ordered(racks, workers, lane), workers)
     }
 
     /// Turns a merged run into the aggregate report and per-rack summaries,
@@ -1053,41 +994,24 @@ impl ClusterSim {
         // Close the warm-memory ledger: containers still warm at the end of
         // the run held their remaining window without a reuse.
         let makespan = last_activity - SimTime::ZERO;
-        for rack in &mut rack_states {
-            rack.keepalive.finish_accounting(last_activity);
-        }
-
         let summaries: Vec<RackSummary> = rack_states
-            .iter()
-            .enumerate()
-            .map(|(i, rack)| RackSummary {
-                rack: i as u32,
-                completed: rack.completed,
-                rejected: rack.rejected,
-                cold_starts: rack.cold_starts,
-                coldstart_s: rack.coldstart.as_secs_f64(),
-                restore_s: rack.restore.as_secs_f64(),
-                ipc_overhead_s: rack.ipc_overhead.as_secs_f64(),
-                prewarm_hits: rack.keepalive.stats().prewarm_hits,
-                peak_queue: rack.peak_queue,
-                peak_instances: rack.peak_instances,
-                low_instances: rack.low_instances,
-                scale_ups: rack.scale_ups,
-                scale_downs: rack.scale_downs,
-                locality_hits: rack.locality_hits,
-                remote_fetches: rack.remote_fetches,
-                cross_rack_bytes: rack.cross_rack_bytes,
-                fetch_energy_j: rack.fetch_energy_j,
-                mean_latency_ms: if rack.latency.is_empty() {
-                    0.0
+            .iter_mut()
+            .map(|rack| {
+                rack.keepalive.finish_accounting(last_activity);
+                let keepalive = rack.keepalive.stats();
+                let (mean_latency_ms, p99_latency_ms) = if rack.latency.is_empty() {
+                    (0.0, 0.0)
                 } else {
-                    rack.latency.mean() * 1e3
-                },
-                p99_latency_ms: if rack.latency.is_empty() {
-                    0.0
-                } else {
-                    rack.latency.p99() * 1e3
-                },
+                    (rack.latency.mean() * 1e3, rack.latency.p99() * 1e3)
+                };
+                RackSummary {
+                    prewarm_hits: keepalive.prewarm_hits,
+                    warm_seconds: keepalive.warm_seconds,
+                    wasted_warm_seconds: keepalive.wasted_warm_seconds,
+                    mean_latency_ms,
+                    p99_latency_ms,
+                    ..rack.tally
+                }
             })
             .collect();
         // Cluster-level latency: merge the per-rack sketches in rack order.
@@ -1100,45 +1024,40 @@ impl ClusterSim {
                 acc.merge(&r.latency);
                 acc
             });
+        // Every total folds from the summaries in rack order, which fixes
+        // the floating-point accumulation order.
+        let count = |f: fn(&RackSummary) -> u64| summaries.iter().map(f).sum::<u64>();
+        let total = |f: fn(&RackSummary) -> f64| summaries.iter().map(f).sum::<f64>();
+        let secs = |f: fn(&RackSummary) -> SimDuration| {
+            summaries.iter().map(|r| f(r).as_secs_f64()).sum::<f64>()
+        };
         let report = ClusterReport {
             platform: self.platform,
             offered_rps: offered.rates_per_sec(),
             queued: queued_series.means_filled(),
             latency_ms: latency_series.means_filled(),
-            completed: summaries.iter().map(|r| r.completed).sum(),
-            rejected: summaries.iter().map(|r| r.rejected).sum(),
-            cold_starts: summaries.iter().map(|r| r.cold_starts).sum(),
-            coldstart_s: summaries.iter().map(|r| r.coldstart_s).sum(),
-            restore_s: summaries.iter().map(|r| r.restore_s).sum(),
-            ipc_overhead_s: summaries.iter().map(|r| r.ipc_overhead_s).sum(),
-            prewarm_hits: summaries.iter().map(|r| r.prewarm_hits).sum(),
-            warm_seconds: rack_states
-                .iter()
-                .map(|r| r.keepalive.stats().warm_seconds)
-                .sum(),
-            wasted_warm_seconds: rack_states
-                .iter()
-                .map(|r| r.keepalive.stats().wasted_warm_seconds)
-                .sum(),
-            scale_ups: summaries.iter().map(|r| r.scale_ups).sum(),
-            scale_downs: summaries.iter().map(|r| r.scale_downs).sum(),
-            scaling_lag_s: rack_states
-                .iter()
-                .map(|r| r.scaling_lag.as_secs_f64())
-                .sum(),
+            completed: count(|r| r.completed),
+            rejected: count(|r| r.rejected),
+            cold_starts: count(|r| r.cold_starts),
+            coldstart_s: secs(|r| r.coldstart),
+            restore_s: secs(|r| r.restore),
+            ipc_overhead_s: secs(|r| r.ipc_overhead),
+            prewarm_hits: count(|r| r.prewarm_hits),
+            warm_seconds: total(|r| r.warm_seconds),
+            wasted_warm_seconds: total(|r| r.wasted_warm_seconds),
+            scale_ups: count(|r| r.scale_ups),
+            scale_downs: count(|r| r.scale_downs),
+            scaling_lag_s: secs(|r| r.scaling_lag),
             peak_instances: summaries
                 .iter()
                 .map(|r| r.peak_instances)
                 .max()
                 .unwrap_or(0),
-            locality_hits: summaries.iter().map(|r| r.locality_hits).sum(),
-            remote_fetches: summaries.iter().map(|r| r.remote_fetches).sum(),
-            cross_rack_bytes: summaries.iter().map(|r| r.cross_rack_bytes).sum(),
-            fetch_latency_s: rack_states
-                .iter()
-                .map(|r| r.fetch_latency.as_secs_f64())
-                .sum(),
-            fetch_energy_j: summaries.iter().map(|r| r.fetch_energy_j).sum(),
+            locality_hits: count(|r| r.locality_hits),
+            remote_fetches: count(|r| r.remote_fetches),
+            cross_rack_bytes: count(|r| r.cross_rack_bytes),
+            fetch_latency_s: secs(|r| r.fetch_latency),
+            fetch_energy_j: total(|r| r.fetch_energy_j),
             latency_summary: if merged_latency.is_empty() {
                 None
             } else {
@@ -1178,13 +1097,13 @@ impl ClusterSim {
                 if depth >= scale_up_queue && provisioned < max {
                     let add = step.min(max - provisioned);
                     rack.pending += add;
-                    rack.scale_ups += 1;
+                    rack.tally.scale_ups += 1;
                     schedule_commit(add);
                 } else if depth <= scale_down_queue && rack.capacity > min {
                     let drop = step.min(rack.capacity - min);
                     rack.capacity -= drop;
-                    rack.scale_downs += 1;
-                    rack.low_instances = rack.low_instances.min(rack.capacity);
+                    rack.tally.scale_downs += 1;
+                    rack.tally.low_instances = rack.tally.low_instances.min(rack.capacity);
                 }
             }
             ScalingPolicy::Predictive { interval, headroom } => {
@@ -1212,12 +1131,12 @@ impl ClusterSim {
                 if target > provisioned {
                     let add = target - provisioned;
                     rack.pending += add;
-                    rack.scale_ups += 1;
+                    rack.tally.scale_ups += 1;
                     schedule_commit(add);
                 } else if target < rack.capacity {
                     rack.capacity = target;
-                    rack.scale_downs += 1;
-                    rack.low_instances = rack.low_instances.min(rack.capacity);
+                    rack.tally.scale_downs += 1;
+                    rack.tally.low_instances = rack.tally.low_instances.min(rack.capacity);
                 }
             }
         }
@@ -1434,6 +1353,78 @@ mod tests {
         let cpu = ClusterSim::new(PlatformKind::BaselineCpu, ClusterConfig::default());
         assert!(!cpu.flash_cache);
         assert!(sim.flash_cache);
+    }
+
+    /// One function invoked `k` times, far apart, on one rack with no
+    /// keepalive: the first cold start pays the registry spawn and every
+    /// later one pays exactly the configured path's repeat price, on every
+    /// platform. Only snapshot repeats count as restores.
+    #[test]
+    fn repeat_cold_starts_pay_the_configured_path_price_exactly() {
+        let k: u64 = 5;
+        let benchmark = Benchmark::ALL[0];
+        let trace: Vec<TraceRequest> = (0..k)
+            .map(|i| TraceRequest {
+                arrival: SimTime::ZERO + SimDuration::from_secs(600 * i),
+                benchmark,
+                function: 0,
+                object: 0,
+                object_bytes: Bytes::from_kib(64),
+            })
+            .collect();
+        for platform in PlatformKind::ALL {
+            for cold_path in ColdStartPath::ALL {
+                let sim = ClusterSim::new(
+                    platform,
+                    ClusterConfig {
+                        cold_path,
+                        ..ClusterConfig::default()
+                    },
+                );
+                let report = Experiment::builder(platform)
+                    .trace(trace.clone())
+                    .keepalive(KeepalivePolicy::NoKeepalive)
+                    .cold_path(cold_path)
+                    .seed(1)
+                    .build()
+                    .expect("valid experiment")
+                    .run()
+                    .report;
+                // The repeat price, spelled out from the cost table: only an
+                // in-storage drive caches the image on its flash.
+                let costs = sim.cold_costs[benchmark as usize];
+                let repeat = match cold_path {
+                    ColdStartPath::FreshSpawn => costs.remote,
+                    ColdStartPath::FlashReload
+                        if platform.spec().location == PlatformLocation::InStorage =>
+                    {
+                        costs.local
+                    }
+                    ColdStartPath::FlashReload => costs.remote,
+                    ColdStartPath::SnapshotRestore => costs.snapshot,
+                };
+                assert_eq!(sim.repeat_cold_start_cost(benchmark), repeat);
+                let repeats = repeat * (k - 1);
+                let label = format!("{platform:?}/{}", cold_path.name());
+                assert_eq!(report.cold_starts, k, "{label}");
+                assert_eq!(
+                    report.coldstart_s,
+                    (sim.cold_start_cost(benchmark) + repeats).as_secs_f64(),
+                    "{label}"
+                );
+                let restored = if cold_path == ColdStartPath::SnapshotRestore {
+                    repeats.as_secs_f64()
+                } else {
+                    0.0
+                };
+                assert_eq!(report.restore_s, restored, "{label}");
+                assert_eq!(
+                    report.restore_s > 0.0,
+                    cold_path == ColdStartPath::SnapshotRestore,
+                    "{label}"
+                );
+            }
+        }
     }
 
     #[test]

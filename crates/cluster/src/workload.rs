@@ -212,6 +212,7 @@ impl ObjectCatalog {
     /// The store key of `(function, object)` — the name the object would
     /// live under in a [`dscs_storage::object_store::ObjectStore`] holding
     /// the trace's objects (the data layer places without storing them).
+    #[cfg(test)]
     pub fn key(function: u32, object: u32) -> String {
         format!("f{function}/o{object}")
     }

@@ -12,8 +12,11 @@
 //! * [`coldstart`] — container/cold-start model, including DSCS's path that
 //!   caches evicted images on the drive's flash and reloads them over P2P.
 //! * [`scheduler`] — the FCFS, DSCS-aware scheduler with fail-over to
-//!   conventional compute nodes, driven by Prometheus-style telemetry.
-//! * [`telemetry`] — the Prometheus-style metrics registry.
+//!   conventional compute nodes, driven by Prometheus-style telemetry: the
+//!   paper's Section 5.3 placement model (the `dscs-cluster` simulator does
+//!   not use it).
+//! * [`telemetry`] — the Prometheus-style metrics registry those scheduling
+//!   decisions read (also unused by `dscs-cluster`).
 //!
 //! # Example
 //!

@@ -5,6 +5,11 @@
 //! onto the node that holds the data — falling back to conventional compute
 //! nodes when the DSA is busy or absent (Section 5.3). Requests are served
 //! First-Come-First-Serve and functions run to completion without preemption.
+//!
+//! This is the paper's Section 5.3 placement model, exercised by the
+//! wildfire example, the end-to-end test and the ablation bench. The at-scale
+//! `dscs-cluster` simulator does not use it: its racks queue and dispatch
+//! through their own scheduler policies and load balancers.
 
 use std::collections::{HashMap, VecDeque};
 

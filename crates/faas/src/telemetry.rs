@@ -4,6 +4,10 @@
 //! drive scheduling decisions: node busy/available state, queue depths, request
 //! counts and latency histograms. This module provides a small, thread-safe
 //! metrics registry with the same counter/gauge/histogram vocabulary.
+//!
+//! These are the counters the Section 5.3 [`crate::scheduler`] reads. The
+//! at-scale `dscs-cluster` simulator does not use them: it tallies its
+//! per-rack metrics in its own reports.
 
 use std::collections::HashMap;
 use std::sync;

@@ -26,7 +26,8 @@
 //! * [`csv`] — a minimal CSV record tokenizer/renderer for ingesting the
 //!   Azure Functions invocation-trace files (and emitting compatible ones).
 //! * [`fasthash`] — a fast, non-cryptographic hasher and the
-//!   [`FastMap`]/[`FastSet`] aliases the simulator's hot paths key by id.
+//!   [`fasthash::FastMap`]/[`fasthash::FastSet`] aliases the simulator's
+//!   hot paths key by id.
 //!
 //! # Example
 //!

@@ -519,6 +519,16 @@ impl Measured {
     pub fn get(&self) -> f64 {
         self.0
     }
+
+    /// `count` per measured second: a throughput over this wall-clock
+    /// measurement, zero if it took no measurable time.
+    pub fn per_sec(&self, count: u64) -> f64 {
+        if self.0 > 0.0 {
+            count as f64 / self.0
+        } else {
+            0.0
+        }
+    }
 }
 
 impl PartialEq for Measured {
