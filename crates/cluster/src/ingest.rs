@@ -19,6 +19,18 @@
 //! from the row's function hash, so the same file and seed always reproduce
 //! the same arrival stream.
 //!
+//! Ingest runs at memory speed. Lines are read into one reused buffer; a
+//! line without `"` is split in place into borrowed fields, and its count
+//! fields that are runs of at most nine digits are folded into `u32`s in
+//! the same byte scan (anything else goes through `str::parse`, and lines
+//! with quotes through [`split_record`], so every accepted value and every
+//! error is what the per-field `String` parser gave). A row allocates its
+//! four metadata strings and its count vector, nothing per field. A UTF-8
+//! byte-order mark before line 1 is dropped and CRLF line ends read like
+//! LF, so Excel exports parse like the plain file. Expansion reads the
+//! counts table row by row into per-minute slots and sorts one minute at a
+//! time, instead of collecting every arrival and sorting the whole day.
+//!
 //! The real dataset cannot ship in this repository, so the module also
 //! closes the loop in the other direction: [`TraceFileWorkload::from_workload`]
 //! buckets a synthetic [`AzureWorkload`] trace into the identical CSV schema
@@ -32,6 +44,7 @@ use std::fmt;
 use std::io::BufRead;
 
 use dscs_simcore::csv::{render_record, split_record, CsvError};
+use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
@@ -286,13 +299,13 @@ struct HeaderLayout {
 /// then numeric minute labels, then optional trailing
 /// [`MEMORY_COLUMN_PREFIX`]`NN` memory columns. Anything else is an
 /// [`IngestError::UnknownHeaderColumn`].
-fn parse_header(fields: &[String]) -> Result<HeaderLayout, IngestError> {
+fn parse_header<'a>(fields: impl Iterator<Item = &'a str>) -> Result<HeaderLayout, IngestError> {
     let mut minutes = 0u32;
     let mut percentiles = Vec::new();
-    for (offset, name) in fields.iter().skip(META_COLUMNS).enumerate() {
+    for (offset, name) in fields.skip(META_COLUMNS).enumerate() {
         let unknown = || IngestError::UnknownHeaderColumn {
             column: offset + 1,
-            name: name.clone(),
+            name: name.to_string(),
         };
         if let Some(level) = name.strip_prefix(MEMORY_COLUMN_PREFIX) {
             match level.parse::<u32>() {
@@ -315,12 +328,170 @@ fn parse_header(fields: &[String]) -> Result<HeaderLayout, IngestError> {
     })
 }
 
+/// Reads a count or memory field: empty is zero, anything else must parse
+/// as a `u32`. `None` means malformed.
+fn parse_count(field: &str) -> Option<u32> {
+    if field.is_empty() {
+        return Some(0);
+    }
+    field.parse().ok()
+}
+
+/// The fields of one record, borrowed from the line itself or from
+/// `split_record`'s output.
+#[derive(Clone)]
+enum Fields<'a> {
+    /// A quote-free line: its fields are the text between commas, as
+    /// `str::split(',')` yields them. `None` once the last field is out.
+    Plain(Option<&'a str>),
+    /// A line with quotes, split by `split_record`.
+    Quoted(std::slice::Iter<'a, String>),
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Fields::Plain(rest) => {
+                let text = (*rest)?;
+                let (field, tail) = match text.split_once(',') {
+                    Some((field, tail)) => (field, Some(tail)),
+                    None => (text, None),
+                };
+                *rest = tail;
+                Some(field)
+            }
+            Fields::Quoted(fields) => fields.next().map(String::as_str),
+        }
+    }
+}
+
+impl Fields<'_> {
+    /// The count fast path: folds leading plain fields — empty or at most
+    /// nine ASCII digits, which cannot overflow a `u32` — straight into
+    /// `counts` in one pass over the bytes, until `counts` holds `limit`.
+    /// Stops before the first field that is anything else and leaves it
+    /// unread for `str::parse` to judge.
+    fn take_plain_counts(&mut self, limit: usize, counts: &mut Vec<u32>) {
+        let Fields::Plain(Some(text)) = *self else {
+            return;
+        };
+        let bytes = text.as_bytes();
+        let (mut field_start, mut at, mut value) = (0, 0, 0u32);
+        while counts.len() < limit {
+            match bytes.get(at) {
+                Some(&digit @ b'0'..=b'9') if at - field_start < 9 => {
+                    value = value * 10 + u32::from(digit - b'0');
+                    at += 1;
+                }
+                Some(b',') => {
+                    counts.push(value);
+                    value = 0;
+                    at += 1;
+                    field_start = at;
+                }
+                None => {
+                    counts.push(value);
+                    *self = Fields::Plain(None);
+                    return;
+                }
+                Some(_) => break,
+            }
+        }
+        *self = Fields::Plain(Some(&text[field_start..]));
+    }
+}
+
+/// What [`TraceFileWorkload::from_reader`] accumulates record by record.
+#[derive(Default)]
+struct TableBuilder {
+    functions: Vec<TraceFunction>,
+    /// The widest row's count columns so far.
+    minutes: u32,
+    header: Option<HeaderLayout>,
+}
+
+impl TableBuilder {
+    /// Takes one non-blank record (its fields, already split) from 1-based
+    /// `line`: the header when it is line 1 and starts with `HashOwner`, a
+    /// function row otherwise. Allocates the four metadata strings and the
+    /// count and memory vectors, nothing per field.
+    fn record(&mut self, line: usize, mut fields: Fields<'_>) -> Result<(), IngestError> {
+        if line == 1 && fields.clone().next() == Some("HashOwner") {
+            self.header = Some(parse_header(fields)?);
+            return Ok(());
+        }
+        let meta: [Option<&str>; META_COLUMNS] = std::array::from_fn(|_| fields.next());
+        let [Some(owner), Some(app), Some(function), Some(trigger)] = meta else {
+            return Err(IngestError::MissingColumns {
+                line,
+                found: meta.iter().flatten().count(),
+            });
+        };
+        // When the header declares memory percentiles it pins the table
+        // width: the first `minutes` data fields are counts, the rest are
+        // memory figures. Otherwise every data field is a count (the
+        // trailing-day shape) and the widest row sets the width.
+        let layout = self.header.as_ref().filter(|h| !h.percentiles.is_empty());
+        if let Some(layout) = layout {
+            let found = fields.clone().count();
+            let expected = layout.minutes as usize + layout.percentiles.len();
+            if found > expected {
+                return Err(IngestError::RowTooWide {
+                    line,
+                    found,
+                    expected,
+                });
+            }
+        }
+        let count_columns = layout.map_or(usize::MAX, |h| h.minutes as usize);
+        let mut counts = Vec::with_capacity(layout.map_or(self.minutes, |h| h.minutes) as usize);
+        fields.take_plain_counts(count_columns, &mut counts);
+        while counts.len() < count_columns {
+            let Some(field) = fields.next() else {
+                break;
+            };
+            let count = parse_count(field).ok_or_else(|| IngestError::MalformedCount {
+                line,
+                column: counts.len() + 1,
+                value: field.to_string(),
+            })?;
+            counts.push(count);
+        }
+        let mut memory_mb = Vec::new();
+        if let Some(layout) = layout {
+            memory_mb.reserve(layout.percentiles.len());
+            for (offset, field) in fields.enumerate() {
+                let mb = parse_count(field).ok_or_else(|| IngestError::MalformedMemory {
+                    line,
+                    percentile: layout.percentiles[offset],
+                    value: field.to_string(),
+                })?;
+                memory_mb.push(mb);
+            }
+            memory_mb.resize(layout.percentiles.len(), 0);
+        }
+        self.minutes = self.minutes.max(counts.len() as u32);
+        self.functions.push(TraceFunction {
+            owner: owner.to_string(),
+            app: app.to_string(),
+            function: function.to_string(),
+            trigger: trigger.to_string(),
+            counts,
+            memory_mb,
+        });
+        Ok(())
+    }
+}
+
 impl TraceFileWorkload {
     /// Parses an Azure-schema CSV from `reader`, streaming line by line.
     ///
     /// Schema tolerance: an optional `HashOwner,...` header row declares the
     /// column layout (numeric minute labels, then optional trailing
-    /// `AverageAllocatedMb_pctNN` memory-percentile columns); blank lines
+    /// `AverageAllocatedMb_pctNN` memory-percentile columns); a byte-order
+    /// mark before line 1 and CRLF line ends are dropped; blank lines
     /// are ignored; rows shorter than the declared width (the dataset's
     /// trailing-day rows are ragged once the accompanying memory
     /// percentiles disappear) are zero-padded; empty count and memory
@@ -329,98 +500,52 @@ impl TraceFileWorkload {
     /// row wider than a memory-declaring header, no data rows at all, or a
     /// `day` beyond the file — is a typed [`IngestError`], never a panic.
     pub fn from_reader(
-        reader: impl BufRead,
+        mut reader: impl BufRead,
         source: impl Into<String>,
         day: u32,
     ) -> Result<Self, IngestError> {
-        let mut functions: Vec<TraceFunction> = Vec::new();
-        let mut minutes = 0u32;
-        let mut header: Option<HeaderLayout> = None;
-        for (index, line) in reader.lines().enumerate() {
-            let line_no = index + 1;
-            let line = line.map_err(|err| IngestError::Io {
+        let mut table = TableBuilder::default();
+        let mut buf = String::new();
+        let mut line_no = 0;
+        loop {
+            buf.clear();
+            let read = reader.read_line(&mut buf).map_err(|err| IngestError::Io {
                 path: "<reader>".into(),
                 message: err.to_string(),
             })?;
+            if read == 0 {
+                break;
+            }
+            line_no += 1;
+            // The terminator goes as `BufRead::lines` drops it: `\n`, then
+            // one `\r` before it.
+            let mut line = buf.as_str();
+            if let Some(rest) = line.strip_suffix('\n') {
+                line = rest.strip_suffix('\r').unwrap_or(rest);
+            }
+            if line_no == 1 {
+                // A byte-order mark (Excel exports write one) is not part of
+                // the first field.
+                line = line.strip_prefix('\u{feff}').unwrap_or(line);
+            }
             if line.trim().is_empty() {
                 continue;
             }
-            let fields = split_record(&line, line_no)?;
-            if line_no == 1 && fields.first().map(String::as_str) == Some("HashOwner") {
-                header = Some(parse_header(&fields)?);
-                continue;
+            if line.contains('"') {
+                let fields = split_record(line, line_no)?;
+                table.record(line_no, Fields::Quoted(fields.iter()))?;
+            } else {
+                // What `split_record` does to a quote-free line, borrowed:
+                // drop one trailing `\r`, split at every comma.
+                let line = line.strip_suffix('\r').unwrap_or(line);
+                table.record(line_no, Fields::Plain(Some(line)))?;
             }
-            if fields.len() < META_COLUMNS {
-                return Err(IngestError::MissingColumns {
-                    line: line_no,
-                    found: fields.len(),
-                });
-            }
-            // When the header declares memory percentiles it pins the table
-            // width: the first `minutes` data fields are counts, the rest
-            // are memory figures. Otherwise every data field is a count (the
-            // trailing-day shape) and the widest row sets the width.
-            let layout = header.as_ref().filter(|h| !h.percentiles.is_empty());
-            let data = &fields[META_COLUMNS..];
-            if let Some(layout) = layout {
-                let expected = layout.minutes as usize + layout.percentiles.len();
-                if data.len() > expected {
-                    return Err(IngestError::RowTooWide {
-                        line: line_no,
-                        found: data.len(),
-                        expected,
-                    });
-                }
-            }
-            let count_columns = layout
-                .map(|h| h.minutes as usize)
-                .unwrap_or(data.len())
-                .min(data.len());
-            let mut counts = Vec::with_capacity(count_columns);
-            for (offset, field) in data[..count_columns].iter().enumerate() {
-                if field.is_empty() {
-                    counts.push(0);
-                    continue;
-                }
-                let count = field
-                    .parse::<u32>()
-                    .map_err(|_| IngestError::MalformedCount {
-                        line: line_no,
-                        column: offset + 1,
-                        value: field.clone(),
-                    })?;
-                counts.push(count);
-            }
-            let mut memory_mb = Vec::new();
-            if let Some(layout) = layout {
-                memory_mb.reserve(layout.percentiles.len());
-                for (offset, field) in data[count_columns..].iter().enumerate() {
-                    if field.is_empty() {
-                        memory_mb.push(0);
-                        continue;
-                    }
-                    let mb = field
-                        .parse::<u32>()
-                        .map_err(|_| IngestError::MalformedMemory {
-                            line: line_no,
-                            percentile: layout.percentiles[offset],
-                            value: field.clone(),
-                        })?;
-                    memory_mb.push(mb);
-                }
-                memory_mb.resize(layout.percentiles.len(), 0);
-            }
-            minutes = minutes.max(counts.len() as u32);
-            let mut fields = fields.into_iter();
-            functions.push(TraceFunction {
-                owner: fields.next().expect("checked above"),
-                app: fields.next().expect("checked above"),
-                function: fields.next().expect("checked above"),
-                trigger: fields.next().expect("checked above"),
-                counts,
-                memory_mb,
-            });
         }
+        let TableBuilder {
+            mut functions,
+            mut minutes,
+            header,
+        } = table;
         if functions.is_empty() {
             return Err(IngestError::EmptyFile);
         }
@@ -536,15 +661,17 @@ impl TraceFileWorkload {
         }
         out.push('\n');
         for function in &self.functions {
-            let mut fields: Vec<String> = vec![
+            out.push_str(&render_record(&[
                 function.owner.clone(),
                 function.app.clone(),
                 function.function.clone(),
                 function.trigger.clone(),
-            ];
-            fields.extend(function.counts.iter().map(u32::to_string));
-            fields.extend(function.memory_mb.iter().map(u32::to_string));
-            out.push_str(&render_record(&fields));
+            ]));
+            // Numbers never need quoting: append them as they are.
+            for &value in function.counts.iter().chain(&function.memory_mb) {
+                out.push(',');
+                push_u32(&mut out, value);
+            }
             out.push('\n');
         }
         out
@@ -662,6 +789,21 @@ impl fmt::Display for DaySummary {
     }
 }
 
+/// Appends the decimal digits of `value` to `out`.
+fn push_u32(out: &mut String, mut value: u32) {
+    let mut digits = [0u8; 10];
+    let mut first = digits.len();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits[first..].iter().map(|&digit| char::from(digit)));
+}
+
 /// Renders a synthetic 32-hex-character dataset hash.
 fn synthetic_hash(salt: u64, value: u64) -> String {
     format!(
@@ -711,39 +853,67 @@ impl Workload for TraceFileWorkload {
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
         self.validate()?;
         let (start, end) = self.window();
-        let ids: Vec<u32> = self.functions.iter().map(TraceFunction::id).collect();
-        let mut arrivals: Vec<(SimTime, u32, u64)> = Vec::new();
-        let mut draw = 0u64;
-        for minute in start..end {
-            let minute_start = 60.0 * (minute - start) as f64;
-            for (row, function) in self.functions.iter().enumerate() {
-                for _ in 0..function.counts[minute] {
-                    let jitter = rng.uniform(0.0, 60.0);
-                    arrivals.push((
-                        SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
-                        ids[row],
-                        draw,
-                    ));
-                    draw += 1;
-                }
+        // Each minute's first slot in the output: per-minute totals, then
+        // prefix sums. Rows are read in file order, so the counts table is
+        // walked sequentially rather than one strided column per minute.
+        let mut offsets = vec![0usize; end - start + 1];
+        for function in &self.functions {
+            for (next, &count) in offsets[1..].iter_mut().zip(&function.counts[start..end]) {
+                *next += count as usize;
             }
         }
-        arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
+        for minute in 1..offsets.len() {
+            offsets[minute] += offsets[minute - 1];
+        }
+        // Each minute's function ids, row by row and repetition by
+        // repetition: within a minute the slots then sit in draw order.
+        let mut slots = vec![0u32; offsets[end - start]];
+        let mut cursors = offsets[..end - start].to_vec();
+        for function in &self.functions {
+            let id = function.id();
+            for (cursor, &count) in cursors.iter_mut().zip(&function.counts[start..end]) {
+                let next = *cursor + count as usize;
+                slots[*cursor..next].fill(id);
+                *cursor = next;
+            }
+        }
+        // Draw the jitter minute by minute in slot order — the fixed draw
+        // order — and emit each minute sorted by (arrival, function). Keys
+        // tied on both are identical (and so are their requests until
+        // objects are assigned), so the unstable sort cannot reorder
+        // anything observable.
+        let mut trace = Vec::with_capacity(slots.len());
+        let mut minute_keys: Vec<(SimTime, u32)> = Vec::new();
+        for (minute, span) in offsets.windows(2).enumerate() {
+            let minute_start = 60.0 * minute as f64;
+            minute_keys.clear();
+            minute_keys.extend(slots[span[0]..span[1]].iter().map(|&function| {
+                let jitter = rng.uniform(0.0, 60.0);
+                let arrival = SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter);
+                (arrival, function)
+            }));
+            minute_keys.sort_unstable();
+            trace.extend(minute_keys.iter().map(|&(arrival, function)| TraceRequest {
+                arrival,
+                benchmark: AzureWorkload::benchmark_of(function),
+                function,
+                object: 0,
+                object_bytes: Bytes::ZERO,
+            }));
+        }
+        drop(slots);
+        // A jitter whose nanosecond rounding lands exactly on the next
+        // minute's start ties with that minute's earliest arrivals; the
+        // stable sort puts such a request where the draw order says.
+        if !trace.is_sorted_by_key(|r| (r.arrival, r.function)) {
+            trace.sort_by_key(|r| (r.arrival, r.function));
+        }
         let catalog = ObjectCatalog::new(self.objects());
-        Ok(arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(id, (arrival, function, _))| {
-                let object = catalog.object_for(function, id as u64);
-                TraceRequest {
-                    arrival,
-                    benchmark: AzureWorkload::benchmark_of(function),
-                    function,
-                    object,
-                    object_bytes: catalog.size_of(function, object),
-                }
-            })
-            .collect())
+        for (position, request) in trace.iter_mut().enumerate() {
+            request.object = catalog.object_for(request.function, position as u64);
+            request.object_bytes = catalog.size_of(request.function, request.object);
+        }
+        Ok(trace)
     }
 }
 
@@ -1005,6 +1175,34 @@ o1,a1,f1,http,1,128,7
                 expected: 2
             }
         );
+    }
+
+    /// A UTF-8 byte-order mark before line 1 (Excel writes one) and CRLF
+    /// line ends read exactly like the plain file: the BOM is neither part
+    /// of the header's first name (which would turn the minute labels into
+    /// a phantom function's counts) nor part of a memory header's layout.
+    #[test]
+    fn bom_and_crlf_files_parse_like_the_plain_file() {
+        let headerless = "o1,a1,f1,http,2,0,1\no2,a2,f3,storage,1,3,0\n";
+        for plain in [TINY, WITH_MEMORY, headerless] {
+            let expected = TraceFileWorkload::from_csv_str(plain, "t", 1).expect("valid");
+            let crlf = plain.replace('\n', "\r\n");
+            for text in [
+                format!("\u{feff}{plain}"),
+                crlf.clone(),
+                format!("\u{feff}{crlf}"),
+            ] {
+                assert_eq!(
+                    TraceFileWorkload::from_csv_str(&text, "t", 1),
+                    Ok(expected.clone()),
+                    "{text:?}"
+                );
+            }
+        }
+        // Only line 1 may carry the mark; anywhere else it is field text.
+        let late = format!("{TINY}\u{feff}o3,a3,f4,http,1,1,1\n");
+        let parsed = TraceFileWorkload::from_csv_str(&late, "t", 1).expect("valid");
+        assert_eq!(parsed.functions[3].owner, "\u{feff}o3");
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! deterministic renderer — with typed, line-addressed errors instead of
 //! panics. Parsing is line-oriented so callers can stream arbitrarily large
 //! trace files through [`split_record`] without buffering the whole file.
+//! `cluster::ingest` calls [`split_record`] only for lines that contain a
+//! `"`: a quote-free line splits at its commas, which its own byte-level
+//! splitter does without an owned `String` per field.
 
 use std::fmt;
 

@@ -1026,3 +1026,505 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
         );
     });
 }
+
+/// The straightforward trace-file ingest the byte-level parser and the
+/// per-minute expansion replaced, kept as the oracle they must match:
+/// `BufRead::lines` plus `split_record` per line, and a collect-then-sort
+/// expansion over `(arrival, function, draw)`.
+mod ingest_reference {
+    use std::io::BufRead;
+
+    use dscs_serverless::cluster::ingest::{
+        IngestError, TraceFileWorkload, TraceFunction, MEMORY_COLUMN_PREFIX, MINUTES_PER_DAY,
+    };
+    use dscs_serverless::cluster::trace::TraceRequest;
+    use dscs_serverless::cluster::workload::{
+        AzureWorkload, ObjectCatalog, Workload, WorkloadError,
+    };
+    use dscs_serverless::simcore::csv::split_record;
+    use dscs_serverless::simcore::rng::DeterministicRng;
+    use dscs_serverless::simcore::time::{SimDuration, SimTime};
+
+    const META_COLUMNS: usize = 4;
+
+    struct HeaderLayout {
+        minutes: u32,
+        percentiles: Vec<u32>,
+    }
+
+    fn parse_header(fields: &[String]) -> Result<HeaderLayout, IngestError> {
+        let mut minutes = 0u32;
+        let mut percentiles = Vec::new();
+        for (offset, name) in fields.iter().skip(META_COLUMNS).enumerate() {
+            let unknown = || IngestError::UnknownHeaderColumn {
+                column: offset + 1,
+                name: name.clone(),
+            };
+            if let Some(level) = name.strip_prefix(MEMORY_COLUMN_PREFIX) {
+                match level.parse::<u32>() {
+                    Ok(level) if (1..=100).contains(&level) => percentiles.push(level),
+                    _ => return Err(unknown()),
+                }
+            } else if !percentiles.is_empty() {
+                return Err(unknown());
+            } else if name.parse::<u32>().is_ok() {
+                minutes += 1;
+            } else {
+                return Err(unknown());
+            }
+        }
+        Ok(HeaderLayout {
+            minutes,
+            percentiles,
+        })
+    }
+
+    pub fn from_reader(
+        reader: impl BufRead,
+        source: &str,
+        day: u32,
+    ) -> Result<TraceFileWorkload, IngestError> {
+        let mut functions: Vec<TraceFunction> = Vec::new();
+        let mut minutes = 0u32;
+        let mut header: Option<HeaderLayout> = None;
+        for (index, line) in reader.lines().enumerate() {
+            let line_no = index + 1;
+            let line = line.map_err(|err| IngestError::Io {
+                path: "<reader>".into(),
+                message: err.to_string(),
+            })?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let fields = split_record(&line, line_no)?;
+            if line_no == 1 && fields.first().map(String::as_str) == Some("HashOwner") {
+                header = Some(parse_header(&fields)?);
+                continue;
+            }
+            if fields.len() < META_COLUMNS {
+                return Err(IngestError::MissingColumns {
+                    line: line_no,
+                    found: fields.len(),
+                });
+            }
+            let layout = header.as_ref().filter(|h| !h.percentiles.is_empty());
+            let data = &fields[META_COLUMNS..];
+            if let Some(layout) = layout {
+                let expected = layout.minutes as usize + layout.percentiles.len();
+                if data.len() > expected {
+                    return Err(IngestError::RowTooWide {
+                        line: line_no,
+                        found: data.len(),
+                        expected,
+                    });
+                }
+            }
+            let count_columns = layout
+                .map(|h| h.minutes as usize)
+                .unwrap_or(data.len())
+                .min(data.len());
+            let mut counts = Vec::with_capacity(count_columns);
+            for (offset, field) in data[..count_columns].iter().enumerate() {
+                if field.is_empty() {
+                    counts.push(0);
+                    continue;
+                }
+                let count = field
+                    .parse::<u32>()
+                    .map_err(|_| IngestError::MalformedCount {
+                        line: line_no,
+                        column: offset + 1,
+                        value: field.clone(),
+                    })?;
+                counts.push(count);
+            }
+            let mut memory_mb = Vec::new();
+            if let Some(layout) = layout {
+                for (offset, field) in data[count_columns..].iter().enumerate() {
+                    if field.is_empty() {
+                        memory_mb.push(0);
+                        continue;
+                    }
+                    let mb = field
+                        .parse::<u32>()
+                        .map_err(|_| IngestError::MalformedMemory {
+                            line: line_no,
+                            percentile: layout.percentiles[offset],
+                            value: field.clone(),
+                        })?;
+                    memory_mb.push(mb);
+                }
+                memory_mb.resize(layout.percentiles.len(), 0);
+            }
+            minutes = minutes.max(counts.len() as u32);
+            let mut fields = fields.into_iter();
+            functions.push(TraceFunction {
+                owner: fields.next().expect("checked above"),
+                app: fields.next().expect("checked above"),
+                function: fields.next().expect("checked above"),
+                trigger: fields.next().expect("checked above"),
+                counts,
+                memory_mb,
+            });
+        }
+        if functions.is_empty() {
+            return Err(IngestError::EmptyFile);
+        }
+        let memory_percentiles = match header {
+            Some(layout) if !layout.percentiles.is_empty() => {
+                minutes = layout.minutes;
+                layout.percentiles
+            }
+            _ => Vec::new(),
+        };
+        if day == 0 {
+            return Err(IngestError::DayZero);
+        }
+        if u64::from(day - 1) * u64::from(MINUTES_PER_DAY) >= u64::from(minutes) {
+            return Err(IngestError::DayOutOfRange { day, minutes });
+        }
+        for function in &mut functions {
+            function.counts.resize(minutes as usize, 0);
+        }
+        Ok(TraceFileWorkload {
+            source: source.into(),
+            functions,
+            minutes,
+            day,
+            memory_percentiles,
+        })
+    }
+
+    pub fn generate(
+        workload: &TraceFileWorkload,
+        rng: &mut DeterministicRng,
+    ) -> Result<Vec<TraceRequest>, WorkloadError> {
+        workload.validate()?;
+        let start = ((workload.day - 1) * MINUTES_PER_DAY) as usize;
+        let end = (workload.day * MINUTES_PER_DAY).min(workload.minutes) as usize;
+        let ids: Vec<u32> = workload.functions.iter().map(TraceFunction::id).collect();
+        let mut arrivals: Vec<(SimTime, u32, u64)> = Vec::new();
+        let mut draw = 0u64;
+        for minute in start..end {
+            let minute_start = 60.0 * (minute - start) as f64;
+            for (row, function) in workload.functions.iter().enumerate() {
+                for _ in 0..function.counts[minute] {
+                    let jitter = rng.uniform(0.0, 60.0);
+                    arrivals.push((
+                        SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
+                        ids[row],
+                        draw,
+                    ));
+                    draw += 1;
+                }
+            }
+        }
+        arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
+        let catalog = ObjectCatalog::new(workload.objects());
+        Ok(arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(id, (arrival, function, _))| {
+                let object = catalog.object_for(function, id as u64);
+                TraceRequest {
+                    arrival,
+                    benchmark: AzureWorkload::benchmark_of(function),
+                    function,
+                    object,
+                    object_bytes: catalog.size_of(function, object),
+                }
+            })
+            .collect())
+    }
+}
+
+/// True with probability `p`.
+fn chance(rng: &mut DeterministicRng, p: f64) -> bool {
+    rng.next_f64() < p
+}
+
+/// One random count or memory field as the dataset (or a careless export)
+/// might write it: empty, small, up to nine digits, ten digits within
+/// `u32`, or zero-padded.
+fn random_count_field(rng: &mut DeterministicRng) -> String {
+    match int_in(rng, 0, 10) {
+        0 => String::new(),
+        1 => int_in(rng, 0, 1_000_000_000).to_string(),
+        2 => int_in(rng, 1_000_000_000, u64::from(u32::MAX) + 1).to_string(),
+        3 => format!("{:03}", int_in(rng, 0, 100)),
+        _ => int_in(rng, 0, 20).to_string(),
+    }
+}
+
+/// Quotes `field` when it needs it, and at random when it does not.
+fn quote_field(rng: &mut DeterministicRng, field: &str) -> String {
+    if field.contains([',', '"']) || chance(rng, 0.1) {
+        format!("\"{}\"", field.replace('"', "\"\""))
+    } else {
+        field.to_string()
+    }
+}
+
+/// A random Azure-schema table: an optional header with optional trailing
+/// memory-percentile columns, metadata fields with embedded commas and
+/// quotes, ragged and over-wide rows, empty count fields, blank lines, LF
+/// or CRLF line ends, and an optional final newline.
+fn random_trace_csv(rng: &mut DeterministicRng) -> Vec<u8> {
+    let minutes = int_in(rng, 0, 9) as usize;
+    let header = chance(rng, 0.6);
+    let percentiles: Vec<u64> = if header && chance(rng, 0.4) {
+        (0..int_in(rng, 1, 3))
+            .map(|_| int_in(rng, 1, 101))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut lines: Vec<String> = Vec::new();
+    if header {
+        let mut fields: Vec<String> = ["HashOwner", "HashApp", "HashFunction", "Trigger"]
+            .iter()
+            .map(|name| name.to_string())
+            .collect();
+        fields.extend((1..=minutes).map(|m| m.to_string()));
+        fields.extend(
+            percentiles
+                .iter()
+                .map(|p| format!("AverageAllocatedMb_pct{p}")),
+        );
+        if chance(rng, 0.05) {
+            fields.push("Bogus".into());
+        }
+        lines.push(fields.join(","));
+    }
+    const META_ALPHABET: &[char] = &['a', 'b', 'Z', '0', '9', ' ', ',', '"', '-'];
+    for _ in 0..int_in(rng, 0, 6) {
+        if chance(rng, 0.1) {
+            lines.push(if chance(rng, 0.5) {
+                String::new()
+            } else {
+                "  ".into()
+            });
+        }
+        let mut fields: Vec<String> = (0..4)
+            .map(|_| {
+                let text: String = (0..int_in(rng, 0, 6))
+                    .map(|_| META_ALPHABET[rng.next_index(META_ALPHABET.len())])
+                    .collect();
+                quote_field(rng, &text)
+            })
+            .collect();
+        let full = minutes + percentiles.len();
+        let width = if chance(rng, 0.3) {
+            full.saturating_sub(int_in(rng, 0, 4) as usize)
+        } else if chance(rng, 0.1) {
+            full + int_in(rng, 1, 3) as usize
+        } else {
+            full
+        };
+        for _ in 0..width {
+            let field = random_count_field(rng);
+            fields.push(if chance(rng, 0.05) {
+                format!("\"{field}\"")
+            } else {
+                field
+            });
+        }
+        lines.push(fields.join(","));
+    }
+    let newline = if chance(rng, 0.5) { "\r\n" } else { "\n" };
+    let mut text = lines.join(newline);
+    if chance(rng, 0.8) {
+        text.push_str(newline);
+    }
+    text.into_bytes()
+}
+
+/// Damages `bytes` the way real files get damaged: truncation, flipped
+/// bits, signed / overflowing / zero-padded numbers, stray quotes, line
+/// ends and separators, and invalid UTF-8.
+fn mutate_trace_csv(rng: &mut DeterministicRng, bytes: &mut Vec<u8>) {
+    const TOKENS: &[&[u8]] = &[
+        b"+7",
+        b"-1",
+        b"4294967296",
+        b"007",
+        b"\"",
+        b",",
+        b"\r",
+        b"\n",
+        b"\r\n",
+        b"  ",
+        b"\xff",
+        b"\xc3",
+        b"\xef\xbb\xbf",
+    ];
+    for _ in 0..int_in(rng, 1, 4) {
+        match int_in(rng, 0, 4) {
+            0 => bytes.truncate(rng.next_index(bytes.len() + 1)),
+            1 if !bytes.is_empty() => {
+                let at = rng.next_index(bytes.len());
+                bytes[at] ^= 1 << rng.next_index(8);
+            }
+            _ => {
+                let at = rng.next_index(bytes.len() + 1);
+                let token = TOKENS[rng.next_index(TOKENS.len())];
+                bytes.splice(at..at, token.iter().copied());
+            }
+        }
+    }
+}
+
+/// The byte-level parser returns exactly what the `lines()` +
+/// `split_record` parser returns — the same workload, or the same error
+/// down to its line, column and value — on valid tables and on damaged
+/// ones, and never panics. The only intended difference is a leading
+/// byte-order mark, which the parser drops and the reference does not know
+/// about, so the reference reads the input without it.
+#[test]
+fn trace_file_parser_matches_the_line_splitting_reference() {
+    use dscs_serverless::cluster::ingest::TraceFileWorkload;
+
+    const BOM: &[u8] = b"\xef\xbb\xbf";
+    let mut parsed_ok = 0;
+    let mut inputs = 0;
+    check(0xB1, |case, rng| {
+        for _ in 0..4 {
+            let mut bytes = random_trace_csv(rng);
+            if chance(rng, 0.2) {
+                bytes.splice(0..0, BOM.iter().copied());
+            }
+            for mutation in 0..5 {
+                if mutation > 0 {
+                    mutate_trace_csv(rng, &mut bytes);
+                }
+                let day = match int_in(rng, 0, 20) {
+                    0 => 0,
+                    1 => 2,
+                    2 => u32::MAX,
+                    _ => 1,
+                };
+                let fast = TraceFileWorkload::from_reader(&bytes[..], "t", day);
+                let reference = ingest_reference::from_reader(
+                    bytes.strip_prefix(BOM).unwrap_or(&bytes),
+                    "t",
+                    day,
+                );
+                assert_eq!(
+                    fast,
+                    reference,
+                    "case {case}, mutation {mutation}: {:?}",
+                    String::from_utf8_lossy(&bytes)
+                );
+                inputs += 1;
+                parsed_ok += usize::from(fast.is_ok());
+            }
+        }
+    });
+    // The generator is not degenerate: a fair share of inputs parse.
+    assert!(
+        parsed_ok * 10 >= inputs,
+        "only {parsed_ok} of {inputs} inputs parsed"
+    );
+}
+
+/// A random sparse trace-file table over one to two days (the last one
+/// partial), with rows that sometimes share a function hash.
+fn random_trace_table(
+    rng: &mut DeterministicRng,
+) -> dscs_serverless::cluster::ingest::TraceFileWorkload {
+    use dscs_serverless::cluster::ingest::{TraceFileWorkload, TraceFunction, MINUTES_PER_DAY};
+
+    let days = int_in(rng, 1, 3) as u32;
+    let minutes = (days - 1) * MINUTES_PER_DAY + int_in(rng, 1, 1441) as u32;
+    let functions = (0..int_in(rng, 1, 6))
+        .map(|_| {
+            let mut counts = vec![0u32; minutes as usize];
+            for _ in 0..int_in(rng, 0, 60) {
+                counts[rng.next_index(minutes as usize)] += int_in(rng, 1, 30) as u32;
+            }
+            TraceFunction {
+                owner: "o".into(),
+                app: "a".into(),
+                function: format!("f{}", int_in(rng, 0, 4)),
+                trigger: "http".into(),
+                counts,
+                memory_mb: Vec::new(),
+            }
+        })
+        .collect();
+    TraceFileWorkload {
+        source: "random".into(),
+        functions,
+        minutes,
+        day: int_in(rng, 1, u64::from(days) + 2) as u32,
+        memory_percentiles: Vec::new(),
+    }
+}
+
+/// The per-minute expansion is bit-equal to the collect-then-global-sort
+/// reference over random tables, days (in range or not) and seeds.
+#[test]
+fn trace_file_expansion_matches_the_global_sort_reference() {
+    use dscs_serverless::cluster::workload::Workload;
+
+    check(0xB2, |case, rng| {
+        let table = random_trace_table(rng);
+        let seed = rng.next_u64();
+        assert_eq!(
+            table.generate(&mut DeterministicRng::seeded(seed)),
+            ingest_reference::generate(&table, &mut DeterministicRng::seeded(seed)),
+            "case {case}: day {} of {} minutes",
+            table.day,
+            table.minutes
+        );
+    });
+}
+
+/// Minutes dense enough that jitter draws collide on the nanosecond, both
+/// within one function and across two: the tied requests still come out
+/// in the reference's (function, draw) order, objects included.
+#[test]
+fn trace_file_expansion_matches_the_reference_on_dense_ties() {
+    use dscs_serverless::cluster::ingest::{TraceFileWorkload, TraceFunction};
+    use dscs_serverless::cluster::workload::Workload;
+
+    let row = |function: &str, counts: Vec<u32>| TraceFunction {
+        owner: "o".into(),
+        app: "a".into(),
+        function: function.into(),
+        trigger: "http".into(),
+        counts,
+        memory_mb: Vec::new(),
+    };
+    let table = TraceFileWorkload {
+        source: "dense".into(),
+        // "warm" hashes to a larger id than "hot" but draws first, so the
+        // draw order and the function order disagree on cross-function ties.
+        functions: vec![
+            row("warm", vec![350_000, 5]),
+            row("hot", vec![350_000, 3]),
+            row("warm", vec![1, 0]),
+        ],
+        minutes: 2,
+        day: 1,
+        memory_percentiles: Vec::new(),
+    };
+    let seed = 1;
+    let trace = table
+        .generate(&mut DeterministicRng::seeded(seed))
+        .expect("valid table");
+    let tied = |same_function: bool| {
+        trace
+            .windows(2)
+            .filter(|w| {
+                w[0].arrival == w[1].arrival && (w[0].function == w[1].function) == same_function
+            })
+            .count()
+    };
+    assert!(tied(true) > 0, "the table must tie within a function");
+    assert!(tied(false) > 0, "the table must tie across functions");
+    assert_eq!(
+        Ok(trace),
+        ingest_reference::generate(&table, &mut DeterministicRng::seeded(seed))
+    );
+}
