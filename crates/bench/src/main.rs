@@ -70,27 +70,15 @@
 //! synthetic run). The second form ingests an existing trace file and
 //! re-emits it — CI uses both forms to pin generate → parse → re-emit
 //! byte-equality.
-//!
-//! reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]
-//!
-//! Diffs two at-scale reports cell by cell and exits non-zero on mean/p99
-//! latency regressions beyond the threshold (default 10%); measured
-//! `events_per_sec` drops and cold-start-regret increases beyond the
-//! threshold are printed as warnings without failing (wall-clock throughput
-//! is noisy on shared runners, and regret drift flags the cold-start path
-//! for a look rather than blocking). A
-//! missing baseline file passes vacuously, so the first CI run after
-//! enabling the gate succeeds; so does a baseline with a different schema
-//! version (the numbers are not comparable across a schema bump).
 //! ```
 
 use std::env;
+use std::io::Write as _;
 
 use dscs_cluster::at_scale::{AtScaleOptions, SweepScale, SweepSpec};
 use dscs_cluster::coldpath::{ColdStartPath, IpcTransport};
 use dscs_cluster::experiment::Experiment;
 use dscs_cluster::ingest::{sample_workload, TraceFileWorkload};
-use dscs_cluster::perf_gate::compare_reports;
 use dscs_cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use dscs_cluster::trace::RateProfile;
 use dscs_cluster::workload::{azure_generation_rng, WorkloadSpec};
@@ -117,11 +105,6 @@ fn main() {
     if let Some(at) = args.iter().position(|a| a == "at-scale") {
         let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
         at_scale(&rest);
-        return;
-    }
-    if let Some(at) = args.iter().position(|a| a == "perf-gate") {
-        let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
-        perf_gate(&rest);
         return;
     }
     if let Some(at) = args.iter().position(|a| a == "generate-trace") {
@@ -160,7 +143,7 @@ fn main() {
     let known =
         |name: &str| name == "all" || experiments.iter().any(|(names, _)| names.contains(&name));
     if !known(&which) {
-        let mut names: Vec<&str> = vec!["all", "at-scale", "perf-gate", "generate-trace"];
+        let mut names: Vec<&str> = vec!["all", "at-scale", "generate-trace"];
         names.extend(experiments.iter().flat_map(|(n, _)| n.iter().copied()));
         eprintln!(
             "unknown experiment '{which}'; expected one of: {}",
@@ -537,8 +520,8 @@ fn at_scale(args: &[String]) {
                     }
                     // The large preset's restricted grid at smaller sizes:
                     // `large-smoke` lets CI exercise the preset without the
-                    // 10⁷ trace, `large-quick` is the single-cell speedup
-                    // measurement the perf artifact tracks.
+                    // 10⁷ trace, `large-quick` is CI's single-cell
+                    // rack-parallel speedup measurement.
                     "large-smoke" => {
                         options.scale = SweepScale::Smoke;
                         large_preset = true;
@@ -695,6 +678,12 @@ fn at_scale(args: &[String]) {
             })
             .collect();
     }
+    // Create the report file before the sweep, so an unwritable --out fails
+    // at once instead of after every cell has run.
+    let mut out_file = std::fs::File::create(&out_path).unwrap_or_else(|err| {
+        eprintln!("failed to write {out_path}: {err}");
+        std::process::exit(1);
+    });
     let jobs = spec.effective_jobs();
     let rack_jobs = spec.effective_rack_jobs(jobs);
     header(&format!(
@@ -718,6 +707,7 @@ fn at_scale(args: &[String]) {
     }
     let report = spec.run().unwrap_or_else(|err| {
         eprintln!("at-scale sweep rejected: {err}");
+        let _ = std::fs::remove_file(&out_path);
         std::process::exit(1);
     });
     for w in &report.workloads {
@@ -831,11 +821,10 @@ fn at_scale(args: &[String]) {
         jobs,
         if jobs == 1 { "" } else { "s" }
     );
-    // Ship the throughput-annotated variant: the perf gate reads the
-    // measured events_per_sec; byte-for-byte comparisons strip those keys or
-    // use to_json().
+    // Ship the throughput-annotated variant; byte-for-byte comparisons strip
+    // the measured keys or use to_json().
     let json = report.to_json_with_throughput();
-    match std::fs::write(&out_path, &json) {
+    match out_file.write_all(json.as_bytes()) {
         Ok(()) => println!("wrote {} cells to {out_path}", report.cells.len()),
         Err(err) => {
             eprintln!("failed to write {out_path}: {err}");
@@ -964,101 +953,4 @@ fn generate_trace(args: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-/// `reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]`: the CI
-/// perf-regression gate. Exits 1 when any sweep cell's mean or p99 latency
-/// regressed beyond the threshold relative to the baseline report; a missing
-/// baseline file passes vacuously (the first gated run has no history).
-fn perf_gate(args: &[String]) {
-    let mut threshold = 10.0f64;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let value = iter.next().and_then(|v| v.parse::<f64>().ok());
-                match value {
-                    Some(v) if v.is_finite() && v > 0.0 => threshold = v,
-                    _ => {
-                        eprintln!("--threshold needs a positive percentage");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other if !other.starts_with("--") => paths.push(arg),
-            other => {
-                eprintln!("unknown perf-gate option '{other}'");
-                eprintln!(
-                    "usage: reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        eprintln!("usage: reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]");
-        std::process::exit(2);
-    };
-
-    header(&format!("Perf gate ({threshold}% threshold)"));
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("no baseline at {baseline_path} ({err}); passing vacuously");
-            return;
-        }
-    };
-    let current = match std::fs::read_to_string(current_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("failed to read current report {current_path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    let outcome = match compare_reports(&baseline, &current, threshold) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("perf gate could not compare reports: {err}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(note) = &outcome.schema_note {
-        println!("schema change detected: {note}");
-    }
-    println!(
-        "compared {} cells ({} skipped: only on one side or schema change)",
-        outcome.compared, outcome.skipped
-    );
-    if !outcome.throughput_warnings.is_empty() {
-        println!(
-            "WARN: {} engine-throughput drop(s) beyond {threshold}% (warn-only, not gating):",
-            outcome.throughput_warnings.len()
-        );
-        for warning in &outcome.throughput_warnings {
-            println!("  {warning}");
-        }
-    }
-    if !outcome.regret_warnings.is_empty() {
-        println!(
-            "WARN: {} cold-start-regret increase(s) beyond {threshold} point(s) \
-             (warn-only, not gating):",
-            outcome.regret_warnings.len()
-        );
-        for warning in &outcome.regret_warnings {
-            println!("  {warning}");
-        }
-    }
-    if outcome.passed() {
-        println!("OK: no latency regression beyond {threshold}%");
-        return;
-    }
-    eprintln!(
-        "FAIL: {} metric(s) regressed beyond {threshold}%:",
-        outcome.regressions.len()
-    );
-    for regression in &outcome.regressions {
-        eprintln!("  {regression}");
-    }
-    std::process::exit(1);
 }

@@ -28,7 +28,7 @@
 //! byte-identical whatever the worker count. Since v5, every cell also
 //! carries the engine-work counter (`events`) and — in the
 //! [`AtScaleReport::to_json_with_throughput`] variant only — the measured
-//! `events_per_sec` simulator throughput the perf gate tracks. Since v7,
+//! `events_per_sec` simulator throughput. Since v7,
 //! every cell also carries its aggregate cold-start seconds, the
 //! offline-optimal lower bound on them ([`crate::optimal`], computed once
 //! per workload × platform pair and shared by every policy cell) and the
@@ -41,11 +41,9 @@
 //! same under every path: it pays only each function's first cold start,
 //! which is a registry spawn whatever the path, so a cheaper modality shows
 //! up as lower regret.
-//! CI runs the quick version of the sweep every build, uploads the report as
-//! an artifact (`BENCH_cluster.json`), and diffs it against the previous
-//! run's artifact (see [`crate::perf_gate`]), giving the repo a tracked,
-//! gated performance trajectory. Fixed-seed runs are byte-for-byte
-//! reproducible.
+//! Fixed-seed runs are byte-for-byte reproducible: the smoke report is
+//! pinned by a golden file and the quick report by a checked-in digest of
+//! its [`AtScaleReport::to_json`] bytes (`tests/golden/`).
 
 use std::sync::Arc;
 
@@ -504,8 +502,8 @@ pub struct SweepCell {
     /// Workload name (`"bursty"`, `"azure"`, `"trace"`).
     pub workload: String,
     /// Where the workload's trace came from (`"synthetic"`,
-    /// `"trace-file:<file>"`). Part of cell identity: the perf gate keys on
-    /// it, so a trace-file cell is never diffed against a synthetic one.
+    /// `"trace-file:<file>"`). Part of cell identity, so a trace-file cell
+    /// is never mistaken for a synthetic one.
     pub workload_source: String,
     /// Platform under test.
     pub platform: PlatformKind,
@@ -796,8 +794,8 @@ impl AtScaleReport {
     /// Renders [`AtScaleReport::to_json`] plus the measured throughput
     /// fields: per-cell and aggregate `wall_s` / `events_per_sec`. These are
     /// host measurements and differ run to run — this is the variant
-    /// `BENCH_cluster.json` ships so the perf gate can track engine speed;
-    /// byte-comparisons must strip the measured keys or use
+    /// `reproduce at-scale` writes to `BENCH_cluster.json`; byte-comparisons
+    /// must strip the measured keys or use
     /// [`AtScaleReport::to_json`].
     pub fn to_json_with_throughput(&self) -> String {
         self.render_json(true)

@@ -46,9 +46,7 @@
 //!   with modelled provisioning delay, multi-rack sharding, and the reported
 //!   series (queued functions over time, wall-clock latency over time).
 //! * [`at_scale`] — the declarative policy sweep ([`SweepSpec`]) behind
-//!   `reproduce at-scale` and the CI perf artifact (`BENCH_cluster.json`).
-//! * [`perf_gate`] — the CI perf-regression gate: diffs two at-scale reports
-//!   and fails on latency regressions beyond a threshold.
+//!   `reproduce at-scale` and its JSON report (`BENCH_cluster.json`).
 //!
 //! # Example
 //!
@@ -87,7 +85,6 @@ pub mod experiment;
 pub mod ingest;
 pub mod optimal;
 mod par;
-pub mod perf_gate;
 pub mod policy;
 pub mod sim;
 pub mod trace;
@@ -102,7 +99,6 @@ pub use data::DataLayer;
 pub use experiment::{ConfigError, Experiment, ExperimentBuilder, Outcome};
 pub use ingest::{DaySummary, IngestError, MemoryPercentile, TraceFileWorkload};
 pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
-pub use perf_gate::{compare_reports, GateOutcome};
 pub use policy::{
     KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedQueue,
     SchedulerPolicy, HYBRID_TAIL,

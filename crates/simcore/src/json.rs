@@ -1,15 +1,15 @@
 //! Minimal deterministic JSON emission.
 //!
 //! The workspace vendors an API-surface stub of `serde` (no `serde_json`), so
-//! machine-readable reports — the at-scale sweep artifact CI uploads, for one —
+//! machine-readable reports — the at-scale sweep report, for one —
 //! are emitted through this small value tree instead. Rendering is fully
 //! deterministic: object keys keep insertion order and floats use Rust's
 //! shortest-roundtrip formatting, so a fixed-seed report is byte-for-byte
 //! reproducible across runs.
 //!
 //! The module also provides a small recursive-descent [`JsonValue::parse`] so
-//! reports can be read back: the perf-regression gate diffs the previous CI
-//! run's artifact against the current one. Numbers roundtrip losslessly —
+//! emitted reports can be read back and checked field by field (the at-scale
+//! tests do this). Numbers roundtrip losslessly —
 //! floats use shortest-roundtrip formatting on the way out and
 //! `str::parse::<f64>` on the way back in, both of which are exact — but the
 //! *variant* is not preserved for whole-valued floats: `Float(12.0)` renders

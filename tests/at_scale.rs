@@ -95,6 +95,42 @@ fn smoke_sweep_matches_the_pr4_golden_report() {
     }
 }
 
+/// The pinned digest of the quick-sweep report: the 64-bit FNV-1a of
+/// `at_scale_sweep(AtScaleOptions::quick()).to_json()`, as 16 hex digits.
+const QUICK_DIGEST: &str = include_str!("golden/at_scale_quick.fnv");
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Exact regression oracle for the quick sweep (432 cells over longer
+/// traces than the smoke golden): any change to a modelled byte of the
+/// report changes its digest.
+#[test]
+fn quick_sweep_matches_the_pinned_digest() {
+    let json = at_scale_sweep(AtScaleOptions::quick()).to_json();
+    let digest = format!("{:016x}\n", fnv1a(json.as_bytes()));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/at_scale_quick.fnv"
+        );
+        std::fs::write(path, &digest).expect("write golden digest");
+        return;
+    }
+    assert_eq!(
+        digest,
+        QUICK_DIGEST,
+        "the quick-sweep report ({} bytes) changed; if the change is intended, \
+         regenerate with UPDATE_GOLDEN=1 cargo test --test at_scale and explain \
+         it in CHANGES.md",
+        json.len()
+    );
+}
+
 /// Removes one measured run starting at `from`: `,"wall_s":...,
 /// "events_per_sec":...`, plus — at the root only — the worker knobs
 /// recorded with them (`,"jobs":...,"rack_jobs":...`). Returns the index

@@ -1528,3 +1528,69 @@ fn trace_file_expansion_matches_the_reference_on_dense_ties() {
         ingest_reference::generate(&table, &mut DeterministicRng::seeded(seed))
     );
 }
+
+/// Draws one CSV field from the pieces that stress the quoting rules:
+/// separators, quotes, line breaks, the empty string and multi-byte UTF-8.
+fn csv_field(rng: &mut DeterministicRng) -> String {
+    const PIECES: [&str; 10] = [",", "\"", "\r", "\n", "", "a", " ", "é", "数据", "🦀"];
+    (0..int_in(rng, 0, 6))
+        .map(|_| *rng.choose(&PIECES))
+        .collect()
+}
+
+/// `render_record` is the exact inverse of `split_record` for any non-empty
+/// field list.
+#[test]
+fn csv_records_roundtrip_through_render_and_split() {
+    use dscs_serverless::simcore::csv::{render_record, split_record};
+    check(0xC5, |case, rng| {
+        let fields: Vec<String> = (0..int_in(rng, 1, 8)).map(|_| csv_field(rng)).collect();
+        let line = int_in(rng, 1, 1 << 20) as usize;
+        assert_eq!(
+            split_record(&render_record(&fields), line),
+            Ok(fields),
+            "case {case}"
+        );
+    });
+}
+
+/// `split_record` never panics: a random line, or a rendered record with a
+/// few characters inserted, deleted or replaced, either splits or fails
+/// with an error addressed to the line number it was given.
+#[test]
+fn csv_split_errors_carry_their_line_and_never_panic() {
+    use dscs_serverless::simcore::csv::{render_record, split_record};
+    let (mut split, mut rejected) = (0, 0);
+    check(0xC6, |case, rng| {
+        let fields: Vec<String> = (0..int_in(rng, 1, 8)).map(|_| csv_field(rng)).collect();
+        let mut chars: Vec<char> = if rng.bernoulli(0.5) {
+            render_record(&fields).chars().collect()
+        } else {
+            fields.concat().chars().collect()
+        };
+        for _ in 0..int_in(rng, 0, 4) {
+            let at = rng.next_index(chars.len() + 1);
+            let c = *rng.choose(&['"', ',', '\r', '\n', 'x', 'é']);
+            match (int_in(rng, 0, 3), at < chars.len()) {
+                (0, _) | (_, false) => chars.insert(at, c),
+                (1, true) => {
+                    chars.remove(at);
+                }
+                (_, true) => chars[at] = c,
+            }
+        }
+        let record: String = chars.into_iter().collect();
+        let line = int_in(rng, 1, 1 << 20) as usize;
+        match split_record(&record, line) {
+            Ok(_) => split += 1,
+            Err(err) => {
+                assert_eq!(err.line, line, "case {case}: {record:?}");
+                rejected += 1;
+            }
+        }
+    });
+    assert!(
+        split > 0 && rejected > 0,
+        "{split} split, {rejected} rejected"
+    );
+}
