@@ -78,6 +78,30 @@ fn unreadable_trace_file_exits_1_and_leaves_no_report() {
     );
 }
 
+/// One rack past what a data layer can index is a rejected sweep, not a
+/// panic or a sweep over 65536 racks.
+#[test]
+fn too_many_racks_exit_1_and_leave_no_report() {
+    let out = scratch("too_many_racks.json");
+    let _ = std::fs::remove_file(&out);
+    assert_fails(
+        &[
+            "at-scale",
+            "--smoke",
+            "--racks",
+            "65536",
+            "--out",
+            out.to_str().unwrap(),
+        ],
+        1,
+        "at most 65535 are supported",
+    );
+    assert!(
+        !out.exists(),
+        "a rejected sweep removes its empty report file"
+    );
+}
+
 #[test]
 fn unwritable_out_fails_before_the_sweep_runs() {
     let result = assert_fails(

@@ -270,12 +270,11 @@ impl SweepSpec {
         }
     }
 
-    /// Checks the spec: a sweep needs at least one rack and at least one
-    /// value on every axis.
+    /// Checks the spec: a sweep needs between one and
+    /// [`crate::data::MAX_RACKS`] racks and at least one value on every
+    /// axis. Runs before any trace is realized or [`DataLayer`] placed.
     pub fn check(&self) -> Result<(), ConfigError> {
-        if self.racks == 0 {
-            return Err(ConfigError::ZeroRacks);
-        }
+        crate::experiment::check_racks(self.racks)?;
         let axes: [(&'static str, bool); 8] = [
             ("workloads", self.workloads.is_empty()),
             ("platforms", self.platforms.is_empty()),
@@ -1200,6 +1199,17 @@ mod tests {
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
         assert_eq!(zero_racks.check(), Err(ConfigError::ZeroRacks));
+        let too_many = SweepSpec {
+            racks: crate::data::MAX_RACKS + 1,
+            ..SweepSpec::default_grid(SweepScale::Smoke)
+        };
+        assert_eq!(
+            too_many.run().err(),
+            Some(ConfigError::TooManyRacks {
+                racks: crate::data::MAX_RACKS + 1,
+                max: crate::data::MAX_RACKS,
+            })
+        );
     }
 
     #[test]

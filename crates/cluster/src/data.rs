@@ -12,11 +12,22 @@
 //! object, with no pre-populated store of per-object metadata. It then
 //! answers the two questions the simulator asks on the hot path:
 //!
-//! * which racks hold a replica of this request's object (the locality-aware
-//!   balancer's dispatch input), and
+//! * which rack holds this request's object (the locality-aware balancer's
+//!   dispatch input, and whether a start is local), and
 //! * what a non-local rack pays to fetch the object — the
 //!   [`RemoteFetchModel`] price over the network/RPC stack and the drive's
 //!   PCIe hop, replacing the old assumption that every rack reads locally.
+//!
+//! The first question is answered per *request*, not per object: the pass
+//! that places the objects also writes a home-rack column indexed like the
+//! trace ([`DataLayer::home_rack`]), so the engine reads one array slot where
+//! a probe of the object map would miss the cache on large traces. The
+//! column is valid only for the trace it was built from; the layer records
+//! that trace's length and a fingerprint of its `(function, object)`
+//! sequence, and [`crate::experiment::ExperimentBuilder::build`] rejects a
+//! layer attached to any other trace. The object map stays behind
+//! [`DataLayer::replica_racks`] / [`DataLayer::holds`] for lookups by
+//! object.
 //!
 //! Placement is deterministic: the same trace, rack count and seed reproduce
 //! the same layout, so sharded runs stay byte-for-byte reproducible.
@@ -43,6 +54,10 @@ const RACK_SPREAD: u32 = 1;
 // replica stays in the home rack.
 const _: () = assert!(RACK_SPREAD == 1);
 
+/// The most racks a layer can span: the per-request home column stores rack
+/// indices as `u16`.
+pub const MAX_RACKS: u32 = u16::MAX as u32;
+
 /// What one cross-rack fetch of a given size costs: the wall-clock latency
 /// charged onto the invocation and the joules the fabric and remote drive
 /// spend moving the bytes.
@@ -61,10 +76,15 @@ pub struct DataLayer {
     nodes: usize,
     /// [`object_key`] -> the rack holding every replica of the object.
     homes: FastMap<u64, u32>,
+    /// The home rack of each trace request's object, indexed like the trace.
+    request_homes: Vec<u16>,
+    /// [`trace_fingerprint`] of the trace the layer was placed for.
+    fingerprint: u64,
     fetch: RemoteFetchModel,
-    /// Memoized per-size fetch costs (object sizes come from a small
-    /// deterministic set, so the hot path never re-prices a fetch).
-    fetch_costs: FastMap<Bytes, FetchCost>,
+    /// Memoized fetch costs of every size the trace reads, sorted by size
+    /// (object sizes come from a small deterministic set, so the hot path
+    /// never re-prices a fetch, and finds the price without hashing).
+    fetch_costs: Vec<(Bytes, FetchCost)>,
 }
 
 impl FetchCost {
@@ -81,16 +101,34 @@ fn object_key(function: u32, object: u32) -> u64 {
     u64::from(function) << 32 | u64::from(object)
 }
 
+/// Folds one request's object into a running [`trace_fingerprint`].
+fn fingerprint_step(hash: u64, request: &TraceRequest) -> u64 {
+    let mixed =
+        (hash ^ object_key(request.function, request.object)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    mixed ^ mixed >> 32
+}
+
+/// A 64-bit fingerprint of `trace`'s `(function, object)` sequence: order
+/// sensitive, so a reordered or truncated trace fingerprints differently.
+fn trace_fingerprint(trace: &[TraceRequest]) -> u64 {
+    trace.iter().fold(0, fingerprint_step)
+}
+
 impl DataLayer {
     /// Builds the layer for `trace` over `racks` racks: a rack-aware store
     /// layout (every rack holds 4 conventional + 2 DSCS storage nodes)
     /// places each distinct object the trace reads, in trace order, from a
     /// placement RNG derived from `seed` — the draws
-    /// [`ObjectStore::put`] would make, without storing the objects.
+    /// [`ObjectStore::put`] would make, without storing the objects. The
+    /// same pass fills the per-request home column.
     ///
     /// # Panics
-    /// Panics if `racks` is zero.
+    /// Panics if `racks` is zero or above [`MAX_RACKS`].
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
+        assert!(
+            racks <= MAX_RACKS,
+            "a data layer spans at most {MAX_RACKS} racks, not {racks}"
+        );
         let store = ObjectStore::with_rack_layout(
             racks,
             CONVENTIONAL_PER_RACK,
@@ -102,29 +140,61 @@ impl DataLayer {
         let fetch = RemoteFetchModel::datacenter_default();
         let mut homes: FastMap<u64, u32> = FastMap::default();
         let mut fetch_costs: FastMap<Bytes, FetchCost> = FastMap::default();
+        let mut request_homes = Vec::with_capacity(trace.len());
+        let mut fingerprint = 0;
         for request in trace {
-            let Entry::Vacant(home) = homes.entry(object_key(request.function, request.object))
-            else {
-                continue;
+            fingerprint = fingerprint_step(fingerprint, request);
+            let home = match homes.entry(object_key(request.function, request.object)) {
+                Entry::Occupied(home) => *home.get(),
+                Entry::Vacant(home) => {
+                    // Every benchmark is an ML pipeline over its stored
+                    // input, so every object is acceleratable: its primary
+                    // replica lands on a DSCS drive of the home rack.
+                    let placed = store
+                        .place(true, &mut rng)
+                        .expect("rack layout always has DSCS nodes");
+                    fetch_costs
+                        .entry(request.object_bytes)
+                        .or_insert_with(|| FetchCost::of(&fetch, request.object_bytes));
+                    *home.insert(placed.home_rack)
+                }
             };
-            // Every benchmark is an ML pipeline over its stored input, so
-            // every object is acceleratable: its primary replica lands on a
-            // DSCS drive of the home rack.
-            let placed = store
-                .place(true, &mut rng)
-                .expect("rack layout always has DSCS nodes");
-            home.insert(placed.home_rack);
-            fetch_costs
-                .entry(request.object_bytes)
-                .or_insert_with(|| FetchCost::of(&fetch, request.object_bytes));
+            // Home racks are below `racks <= MAX_RACKS`, so they fit.
+            request_homes.push(home as u16);
         }
+        let mut fetch_costs: Vec<(Bytes, FetchCost)> = fetch_costs.into_iter().collect();
+        fetch_costs.sort_unstable_by_key(|&(size, _)| size);
         DataLayer {
             racks,
             nodes: store.node_count(),
             homes,
+            request_homes,
+            fingerprint,
             fetch,
             fetch_costs,
         }
+    }
+
+    /// Whether the layer was placed for `trace`: the same length and the
+    /// same `(function, object)` sequence (by fingerprint). The per-request
+    /// home column is valid only then.
+    pub(crate) fn placed_for(&self, trace: &[TraceRequest]) -> bool {
+        self.request_homes.len() == trace.len() && self.fingerprint == trace_fingerprint(trace)
+    }
+
+    /// Number of requests in the trace the layer was placed for.
+    pub fn request_count(&self) -> usize {
+        self.request_homes.len()
+    }
+
+    /// The rack holding the object of request `idx` of the trace the layer
+    /// was placed for — `replica_racks(function, object)[0]` for that
+    /// request, read from the per-request column instead of the object map.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not an index of that trace.
+    pub fn home_rack(&self, idx: usize) -> u32 {
+        u32::from(self.request_homes[idx])
     }
 
     /// Number of racks the layer spans.
@@ -159,10 +229,13 @@ impl DataLayer {
     /// cost of fetching `size` bytes from a remote rack. The simulator's hot
     /// path uses this directly so one lookup yields both charges.
     pub(crate) fn fetch_cost(&self, size: Bytes) -> FetchCost {
-        self.fetch_costs
-            .get(&size)
-            .copied()
-            .unwrap_or_else(|| FetchCost::of(&self.fetch, size))
+        match self
+            .fetch_costs
+            .binary_search_by_key(&size, |&(size, _)| size)
+        {
+            Ok(at) => self.fetch_costs[at].1,
+            Err(_) => FetchCost::of(&self.fetch, size),
+        }
     }
 
     /// The deterministic latency a rack without a replica pays to fetch
@@ -254,6 +327,12 @@ mod tests {
                 b.replica_racks(request.function, request.object)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 racks")]
+    fn more_racks_than_the_home_column_indexes_panics() {
+        let _ = DataLayer::for_trace(&short_trace(3), MAX_RACKS + 1, 11);
     }
 
     #[test]

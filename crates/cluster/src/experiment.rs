@@ -47,7 +47,7 @@ use dscs_platforms::PlatformKind;
 use dscs_simcore::time::SimDuration;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
-use crate::data::DataLayer;
+use crate::data::{DataLayer, MAX_RACKS};
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 use crate::trace::TraceRequest;
@@ -63,6 +63,14 @@ pub enum ConfigError {
     EmptyTrace,
     /// The experiment shards over zero racks.
     ZeroRacks,
+    /// The experiment shards over more racks than a [`DataLayer`] can index
+    /// ([`crate::data::MAX_RACKS`]).
+    TooManyRacks {
+        /// Racks requested.
+        racks: u32,
+        /// The largest supported rack count.
+        max: u32,
+    },
     /// The attached data layer was built for a different rack count than the
     /// experiment shards over.
     DataLayerRackMismatch {
@@ -70,6 +78,15 @@ pub enum ConfigError {
         layer_racks: u32,
         /// Racks the experiment shards over.
         racks: u32,
+    },
+    /// The attached data layer was placed for a different trace — another
+    /// length, or the same length with a different `(function, object)`
+    /// sequence — so its per-request home racks do not describe this one.
+    DataLayerTraceMismatch {
+        /// Requests in the trace the data layer was placed for.
+        layer_requests: usize,
+        /// Requests in the experiment's trace.
+        requests: usize,
     },
     /// An elastic scaling policy with `min_instances == 0`: the rack could
     /// never start work.
@@ -129,9 +146,23 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyTrace => write!(f, "experiment trace must not be empty"),
             ConfigError::ZeroRacks => write!(f, "experiment needs at least one rack"),
+            ConfigError::TooManyRacks { racks, max } => {
+                write!(
+                    f,
+                    "experiment shards over {racks} racks; at most {max} are supported"
+                )
+            }
             ConfigError::DataLayerRackMismatch { layer_racks, racks } => write!(
                 f,
                 "data layer covers {layer_racks} rack(s) but the experiment shards over {racks}"
+            ),
+            ConfigError::DataLayerTraceMismatch {
+                layer_requests,
+                requests,
+            } => write!(
+                f,
+                "data layer was placed for another trace ({layer_requests} requests) than the \
+                 experiment replays ({requests} requests)"
             ),
             ConfigError::ZeroMinInstances => {
                 write!(f, "elastic racks need min_instances of at least one")
@@ -183,6 +214,21 @@ impl From<WorkloadSpecError> for ConfigError {
     }
 }
 
+/// Checks a rack count against the range every run and sweep supports:
+/// at least one rack, at most [`MAX_RACKS`].
+pub(crate) fn check_racks(racks: u32) -> Result<(), ConfigError> {
+    if racks == 0 {
+        Err(ConfigError::ZeroRacks)
+    } else if racks > MAX_RACKS {
+        Err(ConfigError::TooManyRacks {
+            racks,
+            max: MAX_RACKS,
+        })
+    } else {
+        Ok(())
+    }
+}
+
 /// The consolidated run validator behind [`ExperimentBuilder::build`]: every
 /// run precondition as a typed error, in the historical check order.
 pub(crate) fn validate_run(
@@ -194,14 +240,18 @@ pub(crate) fn validate_run(
     if trace.is_empty() {
         return Err(ConfigError::EmptyTrace);
     }
-    if racks == 0 {
-        return Err(ConfigError::ZeroRacks);
-    }
+    check_racks(racks)?;
     if let Some(data) = data {
         if data.rack_count() != racks {
             return Err(ConfigError::DataLayerRackMismatch {
                 layer_racks: data.rack_count(),
                 racks,
+            });
+        }
+        if !data.placed_for(trace) {
+            return Err(ConfigError::DataLayerTraceMismatch {
+                layer_requests: data.request_count(),
+                requests: trace.len(),
             });
         }
     }
@@ -520,11 +570,11 @@ impl ExperimentBuilder {
         let trace = self.trace.unwrap_or_default();
         let data = match (self.data, self.place_data_seed) {
             (Some(data), _) => Some(data),
-            (None, Some(seed)) if !trace.is_empty() && self.racks > 0 => {
+            (None, Some(seed)) if !trace.is_empty() && check_racks(self.racks).is_ok() => {
                 Some(Arc::new(DataLayer::for_trace(&trace, self.racks, seed)))
             }
-            // An empty trace or zero racks fails validation below before the
-            // placement layer could be built.
+            // An empty trace or an unsupported rack count fails validation
+            // below before the placement layer could be built.
             (None, _) => None,
         };
         validate_run(&trace, self.racks, &self.config, data.as_deref())?;

@@ -101,7 +101,7 @@ pub use ingest::{DaySummary, IngestError, MemoryPercentile, TraceFileWorkload};
 pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
 pub use policy::{
     KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedQueue,
-    SchedulerPolicy, HYBRID_TAIL,
+    SchedulerPolicy, StartKind, HYBRID_TAIL,
 };
 pub use sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 pub use trace::{RateProfile, TraceRequest};

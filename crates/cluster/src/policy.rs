@@ -173,7 +173,7 @@ impl KeepalivePolicy {
                     // warm container is never evicted early.
                     return range;
                 }
-                let learned = bin * (histogram.tail_bin(HYBRID_TAIL) as u64 + 1);
+                let learned = bin * (u64::from(histogram.tail.bin) + 1);
                 (learned * HYBRID_MARGIN).min(range)
             }
         }
@@ -188,7 +188,7 @@ impl KeepalivePolicy {
         if head <= 0.0 || !histogram.learned() {
             return SimDuration::ZERO;
         }
-        (bin * histogram.tail_bin(head) as u64).min(window)
+        (bin * u64::from(histogram.head.bin)).min(window)
     }
 }
 
@@ -478,9 +478,15 @@ impl SchedQueue {
 /// (held to eviction without a reuse), plus prewarm hits (invocations that
 /// found a proactively warmed instance).
 ///
-/// Each invoked function has one `FunctionSlot` caching its current
-/// windows, which change only when its histogram observes a gap, so the warm
-/// check and the invocation record each cost one map lookup.
+/// Each invoked function has one `FunctionSlot` holding its last finish,
+/// its histogram and the windows that histogram implies. The histogram keeps
+/// its tail and head bins current as it observes each gap (every repeat
+/// invocation observes one under the hybrid policy), so refreshing the
+/// windows never scans the bins. [`KeepaliveState::start`] decides warm or
+/// cold, takes the resulting service time and records the invocation on one
+/// slot lookup; the public [`KeepaliveState::is_warm`] /
+/// [`KeepaliveState::record_invocation`] pair runs the same slot logic in
+/// two lookups.
 #[derive(Debug)]
 pub struct KeepaliveState {
     policy: KeepalivePolicy,
@@ -495,7 +501,22 @@ pub struct KeepaliveState {
     /// Histogram geometry used for gap observation.
     gap_bin: SimDuration,
     gap_range: SimDuration,
+    /// The prewarm head percentile the histograms track (0 without one).
+    gap_head: f64,
     stats: KeepaliveStats,
+}
+
+/// How a started invocation found its function's container on a rack, as
+/// [`KeepaliveState::start`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StartKind {
+    /// A warm (or still running) container serves the invocation.
+    Warm,
+    /// The container is cold, but the function started on this rack before:
+    /// a repeat cold start, which may reuse what the first one left behind.
+    RepeatCold,
+    /// The function's first start on this rack.
+    FirstCold,
 }
 
 /// Keepalive state of one invoked function: when its latest invocation
@@ -509,6 +530,15 @@ struct FunctionSlot {
     window: SimDuration,
     /// [`KeepaliveState::prewarm_window`] as of the latest observed gap.
     prewarm: SimDuration,
+}
+
+impl FunctionSlot {
+    /// Whether an arrival `idle` after the latest finish finds a warm
+    /// container: within the eviction window, and either still running
+    /// (zero idle) or past the prewarm point.
+    fn warm_after(&self, idle: SimDuration) -> bool {
+        idle <= self.window && (idle.is_zero() || idle >= self.prewarm)
+    }
 }
 
 /// Per-function arrival statistics behind the exponentially-decayed rate
@@ -548,7 +578,7 @@ pub struct KeepaliveStats {
 
 /// Minimum idle-gap observations before the hybrid histogram trusts its
 /// learned tail over the conservative full range.
-const HYBRID_MIN_SAMPLES: u64 = 10;
+const HYBRID_MIN_SAMPLES: u32 = 10;
 /// Fraction of observations the learned window must cover (the study's 99th
 /// percentile). Public because it is also the exclusive upper bound on the
 /// hybrid histogram's prewarm head percentile ([`KeepalivePolicy::check`]).
@@ -558,15 +588,57 @@ const HYBRID_MARGIN: f64 = 1.10;
 /// Out-of-bounds rate above which the pattern is declared too spread to learn.
 const HYBRID_OOB_LIMIT: f64 = 0.10;
 
+/// A function's observed idle gaps. Counts are `u32`: each is bounded by the
+/// number of requests in the trace.
 #[derive(Debug, Default)]
 struct IdleHistogram {
-    bins: Vec<u64>,
-    total: u64,
-    out_of_bounds: u64,
+    bins: Vec<u32>,
+    total: u32,
+    out_of_bounds: u32,
+    /// The bin covering [`HYBRID_TAIL`] of the observed mass.
+    tail: QuantileBin,
+    /// The bin covering the policy's prewarm head percentile.
+    head: QuantileBin,
+}
+
+/// The first bin whose cumulative count covers a fraction `q` of a
+/// histogram's mass, kept current as observations arrive: the bin index and
+/// the count in the bins below it.
+#[derive(Debug, Default, Clone, Copy)]
+struct QuantileBin {
+    bin: u32,
+    below: u32,
+}
+
+impl QuantileBin {
+    /// Re-seats the cursor after one observation landed in bin `landed` of
+    /// `bins` (whose counts now sum to `total`). The cursor moves one bin at
+    /// a time, so the cost is the distance it travels, not the bin count.
+    fn observe(&mut self, bins: &[u32], total: u32, q: f64, landed: usize) {
+        let (mut bin, mut below) = (self.bin as usize, self.below);
+        if landed < bin {
+            below += 1;
+        }
+        // Bin `i` covers `q` once the cumulative count through it reaches
+        // `q * total`, compared in f64 exactly as the reference scan does.
+        let need = q * f64::from(total);
+        while bin > 0 && f64::from(below) >= need {
+            bin -= 1;
+            below -= bins[bin];
+        }
+        while f64::from(below + bins[bin]) < need {
+            below += bins[bin];
+            bin += 1;
+        }
+        *self = QuantileBin {
+            bin: bin as u32,
+            below,
+        };
+    }
 }
 
 impl IdleHistogram {
-    fn observe(&mut self, idle: SimDuration, bin: SimDuration, range: SimDuration) {
+    fn observe(&mut self, idle: SimDuration, bin: SimDuration, range: SimDuration, head: f64) {
         let n_bins = (range.as_nanos().div_ceil(bin.as_nanos())) as usize;
         if self.bins.is_empty() {
             self.bins = vec![0; n_bins.max(1)];
@@ -575,17 +647,21 @@ impl IdleHistogram {
         if idx < self.bins.len() {
             self.bins[idx] += 1;
             self.total += 1;
+            self.tail.observe(&self.bins, self.total, HYBRID_TAIL, idx);
+            self.head.observe(&self.bins, self.total, head, idx);
         } else {
             self.out_of_bounds += 1;
         }
     }
 
-    /// The bin index covering `tail` of the observed mass.
+    /// The bin index covering `tail` of the observed mass, by a full scan
+    /// (the reference the maintained [`QuantileBin`]s are tested against).
+    #[cfg(test)]
     fn tail_bin(&self, tail: f64) -> usize {
         let mut seen = 0u64;
         for (i, &count) in self.bins.iter().enumerate() {
-            seen += count;
-            if seen as f64 >= tail * self.total as f64 {
+            seen += u64::from(count);
+            if seen as f64 >= tail * f64::from(self.total) {
                 return i;
             }
         }
@@ -597,7 +673,7 @@ impl IdleHistogram {
         if all == 0 {
             0.0
         } else {
-            self.out_of_bounds as f64 / all as f64
+            f64::from(self.out_of_bounds) / f64::from(all)
         }
     }
 
@@ -626,7 +702,7 @@ impl KeepaliveState {
     /// smaller than one bin (the histogram would be degenerate), or a head
     /// percentile outside `[0, 1)`.
     pub fn new(policy: KeepalivePolicy) -> Self {
-        let (observe_gaps, gap_bin, gap_range) = match policy {
+        let (observe_gaps, gap_bin, gap_range, gap_head) = match policy {
             KeepalivePolicy::HybridHistogram { range, bin, head } => {
                 assert!(
                     !bin.is_zero(),
@@ -637,9 +713,9 @@ impl KeepaliveState {
                     (0.0..1.0).contains(&head),
                     "hybrid-histogram head percentile must be in [0, 1)"
                 );
-                (true, bin, range)
+                (true, bin, range, head)
             }
-            _ => (false, TRACKING_BIN, TRACKING_RANGE),
+            _ => (false, TRACKING_BIN, TRACKING_RANGE, 0.0),
         };
         KeepaliveState {
             policy,
@@ -648,6 +724,7 @@ impl KeepaliveState {
             observe_gaps,
             gap_bin,
             gap_range,
+            gap_head,
             stats: KeepaliveStats::default(),
         }
     }
@@ -696,23 +773,54 @@ impl KeepaliveState {
     /// warm; with prewarming, an idle gap shorter than the prewarm window
     /// lands before the proactive re-warm and runs cold.
     pub fn is_warm(&self, function: u32, now: SimTime) -> bool {
-        self.slots.get(&function).is_some_and(|slot| {
-            let idle = now.saturating_since(slot.last_finish);
-            idle <= slot.window && (idle.is_zero() || idle >= slot.prewarm)
-        })
+        self.slots
+            .get(&function)
+            .is_some_and(|slot| slot.warm_after(now.saturating_since(slot.last_finish)))
     }
 
     /// Records that an invocation of `function` starting at `now` will finish
     /// at `finish`, feeding the observed idle gap to the learning policy and
     /// the warm-memory ledger.
     pub fn record_invocation(&mut self, function: u32, now: SimTime, finish: SimTime) {
-        let (policy, prewarm_enabled) = (self.policy, self.prewarm_enabled());
+        self.start_until(function, now, |_| finish);
+    }
+
+    /// Starts an invocation of `function` at `now` on one slot lookup: tells
+    /// `service` how the invocation finds its container ([`StartKind`]),
+    /// takes the service time that implies, and records the invocation as
+    /// [`KeepaliveState::record_invocation`] would with a finish `service`
+    /// later. Returns the service time. `StartKind::Warm` exactly when
+    /// [`KeepaliveState::is_warm`] would have said so.
+    pub fn start(
+        &mut self,
+        function: u32,
+        now: SimTime,
+        service: impl FnOnce(StartKind) -> SimDuration,
+    ) -> SimDuration {
+        let mut taken = SimDuration::ZERO;
+        self.start_until(function, now, |kind| {
+            taken = service(kind);
+            now + taken
+        });
+        taken
+    }
+
+    /// The slot logic behind [`KeepaliveState::start`] and
+    /// [`KeepaliveState::record_invocation`]: `finish` maps how the
+    /// invocation found its container to the time it finishes.
+    fn start_until(
+        &mut self,
+        function: u32,
+        now: SimTime,
+        finish: impl FnOnce(StartKind) -> SimTime,
+    ) {
+        let policy = self.policy;
         let slot = match self.slots.entry(function) {
             Entry::Vacant(vacant) => {
                 let histogram = IdleHistogram::default();
                 let window = policy.window_for(&histogram);
                 vacant.insert(FunctionSlot {
-                    last_finish: finish,
+                    last_finish: finish(StartKind::FirstCold),
                     histogram,
                     window,
                     prewarm: SimDuration::ZERO,
@@ -723,11 +831,17 @@ impl KeepaliveState {
         };
         let idle = now.saturating_since(slot.last_finish);
         let (window, prewarm) = (slot.window, slot.prewarm);
-        if idle <= window && (idle.is_zero() || idle >= prewarm) {
+        let warm = slot.warm_after(idle);
+        let finish = finish(if warm {
+            StartKind::Warm
+        } else {
+            StartKind::RepeatCold
+        });
+        if warm {
             // Warm start: the pool held memory from the prewarm point (or
             // the finish, without prewarming) until this arrival.
             self.stats.warm_seconds += idle.saturating_sub(prewarm).as_secs_f64();
-            if !idle.is_zero() && prewarm_enabled && slot.histogram.learned() {
+            if !idle.is_zero() && self.gap_head > 0.0 && slot.histogram.learned() {
                 self.stats.prewarm_hits += 1;
             }
         } else if idle > window {
@@ -741,7 +855,8 @@ impl KeepaliveState {
         // prewarm point: the container was released at finish, so no
         // memory was held at all.
         if self.observe_gaps {
-            slot.histogram.observe(idle, self.gap_bin, self.gap_range);
+            slot.histogram
+                .observe(idle, self.gap_bin, self.gap_range, self.gap_head);
             slot.window = policy.window_for(&slot.histogram);
             slot.prewarm = policy.prewarm_for(&slot.histogram, slot.window);
         }
@@ -825,10 +940,6 @@ impl KeepaliveState {
             .sum()
     }
 
-    fn prewarm_enabled(&self) -> bool {
-        matches!(self.policy, KeepalivePolicy::HybridHistogram { head, .. } if head > 0.0)
-    }
-
     #[cfg(test)]
     fn last_finish_for_test(&self, function: u32) -> SimTime {
         self.slots[&function].last_finish
@@ -838,6 +949,7 @@ impl KeepaliveState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dscs_simcore::rng::DeterministicRng;
 
     fn secs(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -1271,5 +1383,117 @@ mod tests {
             faded < 0.01 * active,
             "ten time constants of silence must fade the estimate: {faded}"
         );
+    }
+
+    /// Random policies for the slot-logic properties: every default, plus
+    /// hybrid histograms with random geometry and a random head below the
+    /// tail.
+    fn random_policies(rng: &mut DeterministicRng) -> Vec<KeepalivePolicy> {
+        let mut policies = KeepalivePolicy::all_default().to_vec();
+        let bin = SimDuration::from_secs(1 + rng.next_index(20) as u64);
+        policies.push(KeepalivePolicy::HybridHistogram {
+            range: bin * (1 + rng.next_index(60) as u64),
+            bin,
+            head: rng.uniform(0.0, HYBRID_TAIL),
+        });
+        policies
+    }
+
+    /// The tail and head bins `observe` maintains equal a full scan of the
+    /// bins after every observation, over random gap streams (drifting
+    /// between regimes so the cursors move both ways, with out-of-range
+    /// gaps mixed in), random `(range, bin)` geometry and heads of 0, 0.05
+    /// and random values below the tail.
+    #[test]
+    fn maintained_quantile_bins_equal_a_full_scan() {
+        for case in 0..64u64 {
+            let mut rng = DeterministicRng::seeded(0x7A11 ^ case);
+            let bin = SimDuration::from_millis(1 + rng.next_index(20_000) as u64);
+            // Not always a whole number of bins.
+            let range = bin * (1 + rng.next_index(80) as u64)
+                + SimDuration::from_nanos(rng.next_index(bin.as_nanos() as usize) as u64);
+            let range_ns = range.as_nanos();
+            for head in [0.0, 0.05, rng.uniform(0.0, HYBRID_TAIL)] {
+                let mut histogram = IdleHistogram::default();
+                let mut centre = rng.uniform(0.0, 1.0);
+                for step in 0..600 {
+                    if rng.next_index(50) == 0 {
+                        centre = rng.uniform(0.0, 1.0);
+                    }
+                    let gap = if rng.next_index(10) == 0 {
+                        // Out of range (or at its edge).
+                        range_ns + rng.next_index(range_ns as usize + 1) as u64
+                    } else {
+                        let spread = rng.uniform(-0.1, 0.1);
+                        ((centre + spread).clamp(0.0, 0.999) * range_ns as f64) as u64
+                    };
+                    histogram.observe(SimDuration::from_nanos(gap), bin, range, head);
+                    for (name, q, cursor) in [
+                        ("tail", HYBRID_TAIL, histogram.tail),
+                        ("head", head, histogram.head),
+                    ] {
+                        let at = format!("case {case}, head {head}, step {step}: {name}");
+                        assert_eq!(cursor.bin as usize, histogram.tail_bin(q), "{at}");
+                        let below: u32 = histogram.bins[..cursor.bin as usize].iter().sum();
+                        assert_eq!(cursor.below, below, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The engine's single-probe `start` and the public `is_warm` +
+    /// `record_invocation` pair are the same slot logic: over random
+    /// invocation streams and policies they agree on every warm/cold
+    /// decision and leave identical stats, windows, prewarm windows and
+    /// last finishes, before and after the end-of-run accounting.
+    #[test]
+    fn single_probe_start_matches_the_public_pair() {
+        for case in 0..64u64 {
+            let mut rng = DeterministicRng::seeded(0x57A7 ^ case);
+            for policy in random_policies(&mut rng) {
+                let mut pair = KeepaliveState::new(policy);
+                let mut probe = KeepaliveState::new(policy);
+                let functions = 1 + rng.next_index(6) as u32;
+                let mut seen = vec![false; functions as usize];
+                let mut now = SimTime::ZERO;
+                for step in 0..400 {
+                    // Mostly short gaps, now and then one past any window.
+                    let gap_ms = match rng.next_index(20) {
+                        0 => 700_000 + rng.next_index(300_000),
+                        _ => rng.next_index(40_000),
+                    };
+                    now += SimDuration::from_millis(gap_ms as u64);
+                    let function = rng.next_index(functions as usize) as u32;
+                    let service = SimDuration::from_millis(rng.next_index(30_000) as u64);
+                    let warm = pair.is_warm(function, now);
+                    pair.record_invocation(function, now, now + service);
+                    let taken = probe.start(function, now, |kind| {
+                        let expected = match (seen[function as usize], warm) {
+                            (false, _) => StartKind::FirstCold,
+                            (true, true) => StartKind::Warm,
+                            (true, false) => StartKind::RepeatCold,
+                        };
+                        assert_eq!(kind, expected, "case {case}, step {step}");
+                        service
+                    });
+                    assert_eq!(taken, service);
+                    seen[function as usize] = true;
+                    assert_eq!(pair.stats(), probe.stats(), "case {case}, step {step}");
+                    assert_eq!(pair.window(function), probe.window(function));
+                    assert_eq!(
+                        pair.prewarm_window(function),
+                        probe.prewarm_window(function)
+                    );
+                    assert_eq!(
+                        pair.last_finish_for_test(function),
+                        probe.last_finish_for_test(function)
+                    );
+                }
+                pair.finish_accounting(now);
+                probe.finish_accounting(now);
+                assert_eq!(pair.stats(), probe.stats(), "case {case}");
+            }
+        }
     }
 }

@@ -34,7 +34,6 @@ use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
 use dscs_platforms::{PlatformKind, PlatformLocation};
 use dscs_simcore::events::EventQueue;
-use dscs_simcore::fasthash::FastSet;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::series::TimeSeries;
@@ -46,6 +45,7 @@ use crate::data::DataLayer;
 use crate::experiment::ConfigError;
 use crate::policy::{
     KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
+    StartKind,
 };
 use crate::trace::TraceRequest;
 
@@ -396,7 +396,6 @@ struct ColdCosts {
 struct RackState {
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    cached_on_flash: FastSet<u32>,
     rng: DeterministicRng,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
@@ -672,7 +671,6 @@ impl ClusterSim {
         RackState {
             queue: SchedQueue::new(self.config.scheduler),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            cached_on_flash: FastSet::default(),
             rng,
             busy: 0,
             capacity: initial_capacity,
@@ -726,33 +724,13 @@ impl ClusterSim {
             let base = self.service_times[request.benchmark as usize];
             let jitter = (self.config.service_jitter_sigma * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
-            if !rack.keepalive.is_warm(request.function, now) {
-                // A repeat cold start reuses whatever the first one left
-                // behind on this rack (the flash-cached image or the process
-                // snapshot); the set only fills on paths that reuse.
-                let penalty = if rack.cached_on_flash.contains(&request.function) {
-                    let repeat = self.repeat_cold_start_cost(request.benchmark);
-                    if self.config.cold_path == ColdStartPath::SnapshotRestore {
-                        rack.tally.restore += repeat;
-                    }
-                    repeat
-                } else {
-                    if self.reuses_cold_artifacts() {
-                        rack.cached_on_flash.insert(request.function);
-                    }
-                    self.cold_start_cost(request.benchmark)
-                };
-                service += penalty;
-                rack.tally.cold_starts += 1;
-                rack.tally.coldstart += penalty;
-            }
             // Every started invocation — warm and cold — pays the gateway's
             // IPC transport (zero for the default shared-memory path).
             let ipc_cost = self.config.ipc.per_request_cost();
             service += ipc_cost;
             rack.tally.ipc_overhead += ipc_cost;
             if let Some(data) = data {
-                if data.holds(request.function, request.object, rack.tally.rack) {
+                if data.home_rack(idx) == rack.tally.rack {
                     rack.tally.locality_hits += 1;
                 } else {
                     // The object lives elsewhere: the invocation carries
@@ -765,8 +743,28 @@ impl ClusterSim {
                     rack.tally.fetch_energy_j += fetch.energy_j;
                 }
             }
-            rack.keepalive
-                .record_invocation(request.function, now, now + service);
+            // One keepalive slot lookup decides warm or cold and records the
+            // invocation with the cold-start penalty added.
+            let service = rack.keepalive.start(request.function, now, |kind| {
+                let penalty = match kind {
+                    StartKind::Warm => return service,
+                    // A repeat cold start reuses whatever the function's
+                    // first cold start left behind on this rack (the
+                    // flash-cached image or the process snapshot) on paths
+                    // that reuse it.
+                    StartKind::RepeatCold => {
+                        let repeat = self.repeat_cold_start_cost(request.benchmark);
+                        if self.config.cold_path == ColdStartPath::SnapshotRestore {
+                            rack.tally.restore += repeat;
+                        }
+                        repeat
+                    }
+                    StartKind::FirstCold => self.cold_start_cost(request.benchmark),
+                };
+                rack.tally.cold_starts += 1;
+                rack.tally.coldstart += penalty;
+                service + penalty
+            });
             let wait = now.saturating_since(request.arrival);
             let wall = wait + service;
             rack.latency.record(wall.as_secs_f64());
@@ -833,7 +831,7 @@ impl ClusterSim {
                 let now = request.arrival;
                 last_activity = now;
                 offered.record_event(now);
-                let r = self.dispatch(&rack_states, balancer, request, data);
+                let r = self.dispatch(&rack_states, balancer, idx, data);
                 self.admit(&mut rack_states[r], idx, request, now);
                 (Some(r), now)
             } else {
@@ -902,7 +900,7 @@ impl ClusterSim {
         &self,
         states: &[RackState],
         balancer: LoadBalancer,
-        request: &TraceRequest,
+        idx: usize,
         data: Option<&DataLayer>,
     ) -> usize {
         let least_loaded = || {
@@ -922,19 +920,13 @@ impl ClusterSim {
             // indices are cluster rack indices.
             LoadBalancer::LeastLoaded => least_loaded(),
             LoadBalancer::LocalityAware { spill_threshold } => {
-                // Prefer the least-loaded rack holding a replica of the
-                // request's object; once its queue exceeds the spill
-                // threshold — or is full, which would reject the request
-                // outright — the fetch is cheaper than the wait, so fall
-                // back to least-loaded. Without a data layer there is no
-                // placement to honour.
-                let local = data.and_then(|d| {
-                    d.replica_racks(request.function, request.object)
-                        .iter()
-                        .map(|&r| r as usize)
-                        .filter(|&r| r < states.len())
-                        .min_by_key(|&r| (states[r].load(), r))
-                });
+                // Prefer the rack holding the request's object (every
+                // replica stays in its home rack); once its queue exceeds
+                // the spill threshold — or is full, which would reject the
+                // request outright — the fetch is cheaper than the wait, so
+                // fall back to least-loaded. Without a data layer there is
+                // no placement to honour.
+                let local = data.map(|d| d.home_rack(idx) as usize);
                 let saturated = spill_threshold.min(self.config.queue_depth.saturating_sub(1));
                 match local {
                     Some(r) if states[r].queue.len() <= saturated => r,

@@ -4,7 +4,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dscs_serverless::cluster::at_scale::{at_scale_sweep, AtScaleOptions, AtScaleReport};
+use dscs_serverless::cluster::at_scale::{
+    at_scale_sweep, AtScaleOptions, AtScaleReport, SweepSpec,
+};
+use dscs_serverless::cluster::coldpath::{ColdStartPath, IpcTransport};
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
@@ -106,29 +109,48 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Compares `json`'s FNV-1a digest with the checked-in `golden` digest
+/// file `tests/golden/<file>`, or rewrites that file under `UPDATE_GOLDEN=1`.
+fn assert_pinned_digest(json: &str, file: &str, golden: &str) {
+    let digest = format!("{:016x}\n", fnv1a(json.as_bytes()));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, &digest).expect("write golden digest");
+        return;
+    }
+    assert_eq!(
+        digest,
+        golden,
+        "the report pinned by {file} ({} bytes) changed; if the change is intended, \
+         regenerate with UPDATE_GOLDEN=1 cargo test --test at_scale and explain \
+         it in CHANGES.md",
+        json.len()
+    );
+}
+
 /// Exact regression oracle for the quick sweep (432 cells over longer
 /// traces than the smoke golden): any change to a modelled byte of the
 /// report changes its digest.
 #[test]
 fn quick_sweep_matches_the_pinned_digest() {
     let json = at_scale_sweep(AtScaleOptions::quick()).to_json();
-    let digest = format!("{:016x}\n", fnv1a(json.as_bytes()));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/at_scale_quick.fnv"
-        );
-        std::fs::write(path, &digest).expect("write golden digest");
-        return;
-    }
-    assert_eq!(
-        digest,
-        QUICK_DIGEST,
-        "the quick-sweep report ({} bytes) changed; if the change is intended, \
-         regenerate with UPDATE_GOLDEN=1 cargo test --test at_scale and explain \
-         it in CHANGES.md",
-        json.len()
-    );
+    assert_pinned_digest(&json, "at_scale_quick.fnv", QUICK_DIGEST);
+}
+
+/// The pinned digest of the smoke sweep over every cold-start path and IPC
+/// transport (3888 cells), in the same format as [`QUICK_DIGEST`].
+const MODALITY_DIGEST: &str = include_str!("golden/at_scale_modality.fnv");
+
+/// The quick digest covers only the default flash-reload path over
+/// shared-memory IPC; this one pins the repeat-cold rule, the snapshot
+/// restore charge and every transport's per-request cost as well.
+#[test]
+fn modality_sweep_matches_the_pinned_digest() {
+    let mut spec = SweepSpec::from(AtScaleOptions::smoke());
+    spec.cold_paths = ColdStartPath::ALL.to_vec();
+    spec.ipcs = IpcTransport::ALL.to_vec();
+    let json = spec.run().expect("valid sweep").to_json();
+    assert_pinned_digest(&json, "at_scale_modality.fnv", MODALITY_DIGEST);
 }
 
 /// Removes one measured run starting at `from`: `,"wall_s":...,

@@ -5,7 +5,7 @@
 //!
 //! [`WorkloadSpec`]: dscs_serverless::cluster::workload::WorkloadSpec
 
-use dscs_serverless::cluster::data::DataLayer;
+use dscs_serverless::cluster::data::{DataLayer, MAX_RACKS};
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
 use dscs_serverless::cluster::policy::ScalingPolicy;
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
@@ -65,6 +65,25 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
         }
     );
 
+    // 3b. More racks than a data layer can index, with or without a layer
+    // to place: rejected before any placement is built.
+    for builder in [
+        Experiment::builder(PlatformKind::DscsDsa),
+        Experiment::builder(PlatformKind::DscsDsa).place_data(9),
+    ] {
+        assert_eq!(
+            builder
+                .trace(short_trace(2))
+                .racks(MAX_RACKS + 1)
+                .build()
+                .expect_err("too many racks"),
+            ConfigError::TooManyRacks {
+                racks: MAX_RACKS + 1,
+                max: MAX_RACKS
+            }
+        );
+    }
+
     // 4. Elastic pool with zero min_instances.
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
@@ -85,6 +104,48 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
             .build()
             .expect_err("min above max"),
         ConfigError::MinAboveMax { min: 128, max: 16 }
+    );
+}
+
+/// A data layer's per-request home racks describe only the trace it was
+/// placed for: attaching it to a reordered or truncated copy of that trace
+/// is a typed error, while the trace itself (or an equal copy) is accepted.
+#[test]
+fn a_layer_placed_for_another_trace_is_rejected() {
+    let trace = short_trace(6);
+    let data = std::sync::Arc::new(DataLayer::for_trace(&trace, 2, 9));
+    let attach = |trace: Vec<TraceRequest>| {
+        Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace)
+            .racks(2)
+            .data_layer(data.clone())
+            .build()
+            .map(|_| ())
+    };
+    assert_eq!(attach(trace.clone()), Ok(()));
+
+    let truncated = trace[..trace.len() - 1].to_vec();
+    assert_eq!(
+        attach(truncated),
+        Err(ConfigError::DataLayerTraceMismatch {
+            layer_requests: trace.len(),
+            requests: trace.len() - 1
+        })
+    );
+
+    // Swap the first two requests that read different objects: the same
+    // length and the same multiset of objects, in another order.
+    let mut reordered = trace.clone();
+    let differs = (1..trace.len())
+        .find(|&i| (trace[i].function, trace[i].object) != (trace[0].function, trace[0].object))
+        .expect("the trace reads more than one object");
+    reordered.swap(0, differs);
+    assert_eq!(
+        attach(reordered),
+        Err(ConfigError::DataLayerTraceMismatch {
+            layer_requests: trace.len(),
+            requests: trace.len()
+        })
     );
 }
 

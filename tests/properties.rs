@@ -567,6 +567,44 @@ fn autoscaler_respects_its_instance_bounds() {
     });
 }
 
+/// The data layer's per-request home column agrees with its object map: for
+/// random traces (small function and object ranges, so objects repeat),
+/// rack counts and placement seeds, `home_rack(idx)` is the one replica rack
+/// `replica_racks(function, object)` reports for every request.
+#[test]
+fn home_column_matches_the_object_map() {
+    use dscs_serverless::cluster::data::DataLayer;
+    use dscs_serverless::cluster::trace::TraceRequest;
+    use dscs_serverless::core::benchmarks::Benchmark;
+    use dscs_serverless::simcore::time::SimTime;
+
+    check(0xB3, |case, rng| {
+        let racks = 1 + int_in(rng, 0, 9) as u32;
+        let functions = int_in(rng, 1, 40);
+        let objects = int_in(rng, 1, 8);
+        let len = int_in(rng, 1, 400) as usize;
+        let trace: Vec<TraceRequest> = (0..len)
+            .map(|i| TraceRequest {
+                arrival: SimTime::from_nanos(i as u64 * 1_000),
+                benchmark: Benchmark::ALL[rng.next_index(Benchmark::ALL.len())],
+                function: int_in(rng, 0, functions) as u32,
+                object: int_in(rng, 0, objects) as u32,
+                object_bytes: Bytes::from_kib(int_in(rng, 1, 4096)),
+            })
+            .collect();
+        let data = DataLayer::for_trace(&trace, racks, int_in(rng, 0, 1000));
+        assert_eq!(data.request_count(), len, "case {case}");
+        for (idx, request) in trace.iter().enumerate() {
+            assert_eq!(
+                [data.home_rack(idx)].as_slice(),
+                data.replica_racks(request.function, request.object),
+                "case {case}: request {idx}"
+            );
+            assert!(data.home_rack(idx) < racks, "case {case}: request {idx}");
+        }
+    });
+}
+
 /// Locality-aware balancing invariants, for random traces, rack counts and
 /// spill thresholds: every request is accounted for on some in-range rack
 /// (the per-rack summaries are the racks the balancer selected), and a
